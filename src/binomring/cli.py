@@ -117,7 +117,7 @@ def _load_seq(path: str) -> tuple[str, TruncSeq]:
             raise UsageError(f"cannot read {path}: {exc}") from None
     try:
         return jsonio.obj_to_seq(json.loads(text))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise UsageError(f"{path}: {exc}") from None
 
 
@@ -202,8 +202,6 @@ def cmd_verify(args) -> int:
         report = identities.check(args.name, params, depth)
     except KeyError as exc:
         raise UsageError(str(exc)) from None
-    except ValueError as exc:
-        raise UsageError(f"invalid parameters: {exc}") from None
     _emit(args, jsonio.dumps_canonical(jsonio.report_to_obj(report)))
     return 0 if report.passed else 1
 
@@ -323,6 +321,10 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        # out-of-range parameters rejected by the library (m < 1, q < 1, ...)
+        print(f"error: invalid parameters: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Published reference table of Bernoulli-number roots and its verification.
 
 The published table lists B^(1/m)(k) for m = 2..5, k = 0..8. Our computed
-values come from two independent routes that always agree: the multinomial
-root recursion in the unit group and exp/log of the truncated generating
+values come from two independent routes that always agree: J.C.P. Miller's
+power recurrence in the unit group and exp/log of the truncated generating
 function. The published rows for m >= 3 are internally inconsistent from
 k = 2 on (they contradict the published closed forms for k <= 4 and the
 m = 2 row, e.g. the published m = 4 row is not the square root of the

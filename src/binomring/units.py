@@ -4,6 +4,8 @@ Inverses, integer and rational powers, unique m-th roots (the group is
 torsion-free, so roots are unique when they exist over the rationals), the
 membership flags for the standard subgroups, and the direct-sum
 decomposition f = v * w * c with v geometric, w vanishing at 1, c scalar.
+Inverses, negative powers, roots and rational powers all run through one
+routine, power_rat, which evaluates J.C.P. Miller's power recurrence.
 """
 from __future__ import annotations
 
@@ -29,29 +31,14 @@ def _unit_reciprocal(v) -> Fraction:
 
 
 def inverse(f: TruncSeq) -> TruncSeq:
-    """Convolution inverse: g(0) = 1/f(0), g(k) = -(1/f(0)) sum_{m=1}^{k} C(k,m) f(m) g(k-m).
-
-    The sum runs through m = k so that the f(k) g(0) term is included; this is
-    what (f * g)(k) = 0 forces for every k >= 1.
-    """
-    r = _unit_reciprocal(f[0])
-    g = [r]
-    fv = f.values
-    for k in range(1, len(fv)):
-        row = _pascal_row(k)
-        total = fv[1] * g[k - 1] * row[1]
-        for m in range(2, k + 1):
-            total = total + row[m] * fv[m] * g[k - m]
-        g.append(-r * total)
-    return TruncSeq(g)
+    """Convolution inverse, f^(-1)."""
+    return power_rat(f, -1, 1)
 
 
 def power_int(f: TruncSeq, n: int) -> TruncSeq:
-    """n-fold bullet power; f^0 = e, negative n inverts f^|n|."""
-    if n == 0:
-        return make_named("e", f.depth)
-    if n < 0:
-        return inverse(power_int(f, -n))
+    """n-fold bullet power by repeated squaring; f^0 = e and negative n go to power_rat."""
+    if n <= 0:
+        return power_rat(f, n, 1)
     result = None
     base = f
     while n:
@@ -90,54 +77,52 @@ def _rat_mth_root(c: Fraction, m: int) -> Fraction:
 
 
 def mth_root(f: TruncSeq, m: int) -> TruncSeq:
-    """Unique g with g^m = f, requiring f(0) to be an exact rational m-th power.
-
-    The multinomial recursion is evaluated through running partial powers
-    g, g^2, ..., g^m instead of enumerating compositions: at step k the
-    value (g^m)(k) with the unknown g(k) zeroed out is exactly the sum over
-    compositions with every part below k. Cost is O(m K^2) ring operations.
-    """
+    """Unique g with g^m = f, requiring f(0) to be an exact rational m-th power."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    lead = f[0]
-    if isinstance(lead, RatPoly):
-        if not lead.is_constant():
-            raise RootNotRepresentableError(f"f(0) = {lead} is not a constant polynomial")
-        lead = lead.constant_value()
-    g0 = _rat_mth_root(lead, m)
-    if m == 1:
-        return f
-    K = f.depth
-    inv_lead = Fraction(1, 1) / (m * g0 ** (m - 1))
-    g: list = [g0]
-    # pows[j][i] = (g^j)(i), finalized up to the current k
-    pows = [[g0 ** j] for j in range(m + 1)]
-    for k in range(1, K + 1):
-        row = _pascal_row(k)
-        # partial powers with g(k) treated as zero
-        phat = Fraction(0)
-        for j in range(2, m + 1):
-            total = phat * g0
-            for i in range(1, k):
-                total = total + row[i] * pows[j - 1][i] * g[k - i]
-            phat = total
-        gk = (f[k] - phat) * inv_lead
-        g.append(gk)
-        pows[0].append(Fraction(0))
-        pows[1].append(gk)
-        for j in range(2, m + 1):
-            total = pows[j - 1][0] * gk
-            for i in range(1, k + 1):
-                total = total + row[i] * pows[j - 1][i] * g[k - i]
-            pows[j].append(total)
-    return TruncSeq(g)
+    return power_rat(f, 1, m)
 
 
 def power_rat(f: TruncSeq, p: int, q: int) -> TruncSeq:
-    """f^(p/q): the q-th root of f^p. Well defined by torsion-freeness."""
+    """f^(p/q), the q-th root of f^p; well defined because the unit group is torsion-free.
+
+    J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7) in binomial
+    form. The exponential generating functions A of f and G of g = f^(p/q)
+    satisfy q A G' = p A' G; comparing coefficients of t^(k-1)/(k-1)! gives
+
+        q f(0) g(k) = sum_{i=1}^{k} (p C(k-1,i-1) - q C(k-1,i)) f(i) g(k-i)
+
+    with C(k-1,k) = 0 and g(0) the rational q-th root of f(0)^p. At p/q = -1
+    the coefficient is -C(k,i), the usual inverse loop. Cost is O(K^2) ring
+    operations whatever p and q are. Positive integer powers keep repeated
+    squaring, the only route defined when f(0) is not a unit.
+    """
     if q < 1:
         raise ValueError("q must be >= 1")
-    return mth_root(power_int(f, p), q)
+    if p == 0:
+        return make_named("e", f.depth)
+    lead = f[0]
+    if lead == 0:
+        raise NotAUnitError("f(0) = 0")
+    if isinstance(lead, RatPoly) and not lead.is_constant():
+        error = NotInvertibleInRingError if p < 0 else RootNotRepresentableError
+        raise error(f"f(0) = {lead} is not a constant polynomial")
+    if q == 1 and p > 0:
+        return power_int(f, p)
+    f0 = lead.constant_value() if isinstance(lead, RatPoly) else lead
+    g = [_rat_mth_root(f0 ** p, q)]
+    inv = Fraction(1, 1) / (q * f0)
+    if isinstance(lead, RatPoly) and p not in (1, -1):
+        # f(0) is a factor of every entry k >= 1 of f^p, so they stay polynomials
+        inv = RatPoly.const(inv)
+    fv = f.values
+    for k in range(1, len(fv)):
+        row = _pascal_row(k - 1)
+        total = p * fv[k] * g[0]  # the i = k term, where C(k-1,k) = 0
+        for i in range(1, k):
+            total = total + (p * row[i - 1] - q * row[i]) * fv[i] * g[k - i]
+        g.append(total * inv)
+    return TruncSeq(g)
 
 
 @dataclass(frozen=True)

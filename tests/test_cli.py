@@ -3,6 +3,8 @@ import json
 import os
 from fractions import Fraction as F
 
+import pytest
+
 from binomring.cli import main
 from binomring.jsonio import obj_to_seq
 from binomring.special import bernoulli
@@ -280,3 +282,37 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
     assert code == 0
     _, seq = obj_to_seq(json.loads(out))
     assert seq == bernoulli(5)
+
+
+@pytest.mark.parametrize("argv", [
+    ("op", "root", "--m", "0", "FILE"),
+    ("op", "pow", "--p", "1", "--q", "0", "FILE"),
+    ("gen", "xi", "--x", "1", "--m", "0"),
+    ("gen", "norlund", "--p", "1", "--q", "0"),
+])
+def test_out_of_range_parameter_exit_code(tmp_path, capsys, argv):
+    path = tmp_path / "e.json"
+    path.write_text('{"name": "e", "depth": 2, "values": [["1","1"], ["0","1"], ["0","1"]]}')
+    code, out, err = run(capsys, *(str(path) if a == "FILE" else a for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid parameters:") and "Traceback" not in err
+
+
+def test_op_zero_denominator_input(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"name": "bad", "depth": 0, "values": [["1","0"]]}')
+    code, _, err = run(capsys, "op", "invert", str(path))
+    assert code == 2 and "bad.json" in err
+
+
+def test_op_pow_and_root_bytes_on_polynomial_file(tmp_path, capsys):
+    _, out, _ = run(capsys, "gen", "bernoulli-poly", "--depth", "2")
+    path = tmp_path / "bp.json"
+    path.write_text(out)
+    # a positive integer power keeps entry 0 a constant polynomial; a root makes it a rational
+    _, out, _ = run(capsys, "op", "pow", "--p", "2", str(path))
+    assert out == ('{"name":"bernoulli-poly","depth":2,"values":[[["1","1"]],'
+                   '[["-1","1"],["2","1"]],[["5","6"],["-4","1"],["4","1"]]]}\n')
+    _, out, _ = run(capsys, "op", "root", "--m", "2", str(path))
+    assert out == ('{"name":"bernoulli-poly","depth":2,"values":[["1","1"],'
+                   '[["-1","4"],["1","2"]],[["1","48"],["-1","4"],["1","4"]]]}\n')

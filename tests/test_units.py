@@ -1,13 +1,17 @@
 """Unit group: inverses, powers, roots, membership, decomposition."""
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from binomring.egf import egf_to_seq, seq_to_egf, series_pow_rat
 from binomring.errors import NotAUnitError, NotInvertibleInRingError, RootNotRepresentableError
 from binomring.poly import RatPoly, X
 from binomring.seqcore import TruncSeq, bullet, make_eps, make_named, scale
-from binomring.special import bernoulli
+from binomring.special import bernoulli, bernoulli_poly
 from binomring.units import (
     decompose,
     inverse,
@@ -122,6 +126,78 @@ def test_power_rat_scalar_action_law():
         combined = power_rat(f, p1 * q2 + p2 * q1, q1 * q2)
         split = bullet(power_rat(f, p1, q1), power_rat(f, p2, q2))
         assert combined == split
+
+
+rats = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+monic_units = st.lists(rats, min_size=0, max_size=12).map(lambda tail: TruncSeq([F(1)] + tail))
+
+
+@settings(max_examples=60, deadline=None)
+@given(monic_units, st.integers(-6, 6), st.integers(1, 7))
+def test_power_rat_matches_egf_oracle(f, p, q):
+    assert power_rat(f, p, q) == egf_to_seq(series_pow_rat(seq_to_egf(f), p, q))
+
+
+def test_power_rat_polynomial_lead_error_follows_sign_of_p():
+    f = TruncSeq([X + 1, RatPoly.const(1), F(2)])
+    for p in (-3, -1):
+        with pytest.raises(NotInvertibleInRingError):
+            power_rat(f, p, 2)
+    for p in (1, 2):
+        with pytest.raises(RootNotRepresentableError):
+            power_rat(f, p, 1)
+    with pytest.raises(NotInvertibleInRingError):
+        power_int(f, -2)
+    with pytest.raises(RootNotRepresentableError):
+        mth_root(f, 1)
+
+
+def test_power_rat_zero_exponent_needs_no_unit():
+    e = make_named("e", 2)
+    for lead in (F(0), RatPoly(), X + 1):
+        f = TruncSeq([lead, F(1), F(2)])
+        assert power_rat(f, 0, 3) == e
+        with pytest.raises(ValueError):
+            power_rat(f, 0, 0)
+
+
+def test_power_rat_zero_lead_is_not_a_unit():
+    for lead in (F(0), RatPoly()):
+        f = TruncSeq([lead, F(1), F(2)])
+        for p, q in ((2, 1), (1, 2), (-1, 1), (-2, 3)):
+            with pytest.raises(NotAUnitError):
+                power_rat(f, p, q)
+    # repeated squaring stays defined off the unit group
+    assert power_int(TruncSeq([0, 1, 2]), 2) == TruncSeq([0, 0, 2])
+
+
+def test_power_rat_entry_zero_type():
+    f = bernoulli_poly(4)
+    assert isinstance(f[0], RatPoly)
+    assert isinstance(power_rat(f, 2, 1)[0], RatPoly)
+    for p, q in ((1, 2), (-1, 1), (2, 3), (-2, 1)):
+        assert isinstance(power_rat(f, p, q)[0], F)
+
+
+def test_power_rat_constant_polynomial_lead_types():
+    # f(0) is a factor of f^p, so for |p| > 1 a polynomial f(0) makes every later entry one
+    f = TruncSeq([RatPoly.const(4), F(1), F(2)])
+    for p, q in ((2, 2), (-2, 1), (3, 2), (-3, 2)):
+        assert all(isinstance(v, RatPoly) for v in power_rat(f, p, q)[1:])
+    for p, q in ((1, 2), (-1, 1), (-1, 2)):
+        assert all(isinstance(v, F) for v in power_rat(f, p, q))
+
+
+def test_mth_root_huge_m_has_bounded_memory():
+    f = TruncSeq([F(1), F(2, 3), F(-1, 5), F(7), F(1, 9)])
+    tracemalloc.start()
+    try:
+        g = mth_root(f, 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert power_int(g, 10 ** 6) == f
 
 
 def test_membership():
