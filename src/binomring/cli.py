@@ -7,7 +7,8 @@ oeis-compare (diff a sequence against a local OEIS b-file).
 
 Exit codes: 0 success/pass, 1 identity or comparison failure, 2 usage
 error, 3 mathematical domain error (non-unit input, unrepresentable root,
-depth mismatch). TOOL_MAX_DEPTH (default 256) caps --depth.
+depth mismatch). TOOL_MAX_DEPTH (default 256) caps --depth; a value that
+is not an integer >= 0 is a usage error.
 """
 from __future__ import annotations
 
@@ -37,9 +38,12 @@ class UsageError(Exception):
 def _max_depth() -> int:
     raw = os.environ.get("TOOL_MAX_DEPTH", "256")
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        return 256
+        cap = -1
+    if cap < 0:
+        raise UsageError(f"TOOL_MAX_DEPTH must be an integer >= 0, got {raw!r}")
+    return cap
 
 
 def _check_depth(depth: int) -> int:

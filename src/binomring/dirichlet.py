@@ -3,16 +3,20 @@
 Sequences are finite windows f(1..N) of arithmetic functions on the
 positive integers; a sequence is a unit exactly when f(1) != 0. The sieve
 tables (smallest prime factor, factorizations, Moebius values) are built
-once per bound and cached.
+once per bound and cached. Convolutions and inverses sum integer numerators
+over common denominators (seqcore's common-denominator kernel) and build
+each output value once.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
+from operator import add, mul, truediv
 from typing import Iterable, NamedTuple
 
 from .errors import BoundMismatchError, NotAUnitError
+from .seqcore import _over_common, _widen
 
 
 @lru_cache(maxsize=None)
@@ -69,7 +73,7 @@ class DirSeq:
     __slots__ = ("_values",)
 
     def __init__(self, values: Iterable):
-        vs = tuple(Fraction(v) for v in values)
+        vs = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
         if not vs:
             raise ValueError("a DirSeq needs at least f(1)")
         object.__setattr__(self, "_values", vs)
@@ -141,30 +145,30 @@ def dirichlet_conv(f: DirSeq, g: DirSeq) -> DirSeq:
     """(f * g)(k) = sum_{d | k} f(d) g(k/d)."""
     _check_bounds(f, g, "dirichlet_conv")
     n = f.bound
-    out = [Fraction(0)] * (n + 1)
-    fv, gv = f.values, g.values
+    (a, da), (b, db) = _over_common(f.values), _over_common(g.values)
+    out = [0] * (n + 1)
     for d in range(1, n + 1):
-        a = fv[d - 1]
-        if a == 0:
-            continue
-        for m in range(1, n // d + 1):
-            out[d * m] += a * gv[m - 1]
-    return DirSeq(out[1:])
+        x = a[d - 1]
+        if x:
+            out[d::d] = map(add, out[d::d], map(x.__mul__, b))
+    den = da * db
+    return DirSeq(Fraction(t, den) for t in out[1:])
 
 
 def dirichlet_inverse(f: DirSeq) -> DirSeq:
     """Unit recursion: g(1) = 1/f(1), g(k) = -(1/f(1)) sum_{d|k, d<k} g(d) f(k/d)."""
     if f.at(1) == 0:
         raise NotAUnitError("f(1) = 0")
-    inv1 = Fraction(1) / f.at(1)
-    g = [Fraction(0)] * (f.bound + 1)
-    g[1] = inv1
+    a, _ = _over_common(f.values)
+    a.insert(0, 0)  # 1-based, like g
+    g = [Fraction(0), Fraction(1) / f.at(1)]
+    G, den = [0, g[1].numerator], g[1].denominator
     for k in range(2, f.bound + 1):
-        s = Fraction(0)
-        for d in divisors(k):
-            if d != k:
-                s += g[d] * f.at(k // d)
-        g[k] = -inv1 * s
+        ds = divisors(k)
+        # divisors come sorted, so k // d runs down ds[:0:-1] as d runs up ds[:-1]
+        gk = Fraction(-sum(map(mul, map(G.__getitem__, ds[:-1]), map(a.__getitem__, ds[:0:-1]))), a[1] * den)
+        g.append(gk)
+        den = _widen(G, den, gk)
     return DirSeq(g[1:])
 
 
@@ -172,22 +176,17 @@ def gamma_twisted_conv(f: DirSeq, g: DirSeq, gamma: DirSeq) -> DirSeq:
     """Twisted convolution (f x g)(k) = sum_{d|k} [gamma(k)/(gamma(d) gamma(k/d))] f(d) g(k/d).
 
     The map f -> gamma f carries the plain convolution onto this one, so the
-    ring structure is preserved; gamma must be nowhere zero.
+    ring structure is preserved and f x g = gamma ((f/gamma) * (g/gamma));
+    gamma must be nowhere zero.
     """
     _check_bounds(f, g, "gamma_twisted_conv")
     _check_bounds(f, gamma, "gamma_twisted_conv")
     for k in range(1, gamma.bound + 1):
         if gamma.at(k) == 0:
             raise NotAUnitError(f"gamma({k}) = 0")
-    n = f.bound
-    out = []
-    for k in range(1, n + 1):
-        total = Fraction(0)
-        gk = gamma.at(k)
-        for d in divisors(k):
-            total += gk / (gamma.at(d) * gamma.at(k // d)) * f.at(d) * g.at(k // d)
-        out.append(total)
-    return DirSeq(out)
+    cv = gamma.values
+    plain = dirichlet_conv(DirSeq(map(truediv, f.values, cv)), DirSeq(map(truediv, g.values, cv)))
+    return DirSeq(map(mul, cv, plain.values))
 
 
 def prime_exponent_factorial(bound: int) -> DirSeq:

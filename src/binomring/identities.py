@@ -299,6 +299,8 @@ def _check_carlitz(params, depth):
 def _check_gould12(params, depth):
     m = _get_int(params, "m", 2)
     n = _get_int(params, "n", 3)
+    if m < 0 or n < 0:
+        raise ValueError("m and n must be >= 0")
     if m + n > depth:
         raise ValueError("need depth >= m + n")
     rng = _rng(params)
@@ -729,6 +731,8 @@ def _check_prop10(params, depth):
 def _check_eq31(params, depth):
     m = _get_int(params, "m", 2)
     n = _get_int(params, "n", 3)
+    if m < 0 or n < 0:
+        raise ValueError("m and n must be >= 0")
     rng = _rng(params)
     f = _get_seq(params, "f") or random_unit(rng, depth)
     g1 = TruncSeq(Fraction(1, (m + n + s + 1) * binom(m + n + s, m)) for s in range(depth + 1))

@@ -15,11 +15,23 @@ called ``bullet`` here, which mirrors multiplication of exponential
 generating functions; ``cauchy`` is the unweighted convolution mirroring
 ordinary generating functions. All operations are pure and inputs are never
 mutated, so values can be shared freely across threads.
+
+Common-denominator kernel. Summing Fractions term by term runs a gcd after
+every + and *. When every entry of the inputs is a Fraction, the products
+here (and the power recurrence in ``units`` and the Dirichlet convolutions
+in ``dirichlet``) instead write each input as integer numerators over the
+lcm of its denominators, the representation of FLINT's fmpq_poly
+(https://flintlib.org/doc/fmpq_poly.html), sum plain integer terms, and
+normalise each output entry once with Fraction(sum, den). ``_over_common``
+makes that representation and ``_widen`` extends it entry by entry under a
+running lcm. A TruncSeq holding any RatPoly keeps the generic ring loop.
 """
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Union
 
 from .errors import DepthMismatchError
@@ -42,6 +54,31 @@ def _pascal_row(n: int) -> tuple[int, ...]:
                     (1,) + tuple(prev[i - 1] + prev[i] for i in range(1, len(prev))) + (1,)
                 )
     return _PASCAL_ROWS[n]
+
+
+def _rational(values) -> bool:
+    """True when every entry is a Fraction, so the integer kernel applies."""
+    return all(isinstance(v, Fraction) for v in values)
+
+
+def _over_common(values) -> tuple[list[int], int]:
+    """Fractions as integer numerators over the lcm of their denominators."""
+    den = lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _widen(nums: list[int], den: int, v: Fraction) -> int:
+    """Append v to the numerators nums over den; return the new denominator lcm(den, v.denominator).
+
+    nums is rescaled in place only when v's denominator does not divide den.
+    """
+    d = v.denominator
+    if den % d:
+        s = d // gcd(den, d)
+        nums[:] = [x * s for x in nums]
+        den *= s
+    nums.append(v.numerator * (den // d))
+    return den
 
 
 def binom(n: int, k: int) -> int:
@@ -90,7 +127,10 @@ class TruncSeq:
     def __iter__(self):
         return iter(self._values)
 
-    def __getitem__(self, k: int):
+    def __getitem__(self, k):
+        """f(k) for 0 <= k <= depth (a slice gives a tuple); negative indices do not wrap."""
+        if isinstance(k, int) and k < 0:
+            raise IndexError(f"index {k} outside 0..{self.depth}")
         return self._values[k]
 
     def __eq__(self, other):
@@ -185,6 +225,11 @@ def bullet(f: TruncSeq, g: TruncSeq) -> TruncSeq:
     """Binomial (Cauchy-type) product, truncated at the common depth."""
     _check_depths(f, g, "bullet")
     fv, gv = f.values, g.values
+    if _rational(fv) and _rational(gv):
+        (a, da), (b, db) = _over_common(fv), _over_common(gv)
+        den = da * db
+        return TruncSeq(Fraction(sum(map(mul, map(mul, _pascal_row(k), a), b[k::-1])), den)
+                        for k in range(len(a)))
     out = []
     for k in range(len(fv)):
         row = _pascal_row(k)
@@ -199,6 +244,10 @@ def cauchy(f: TruncSeq, g: TruncSeq) -> TruncSeq:
     """Unweighted Cauchy product (f o g)(k) = sum f(m) g(k-m)."""
     _check_depths(f, g, "cauchy")
     fv, gv = f.values, g.values
+    if _rational(fv) and _rational(gv):
+        (a, da), (b, db) = _over_common(fv), _over_common(gv)
+        den = da * db
+        return TruncSeq(Fraction(sum(map(mul, a, b[k::-1])), den) for k in range(len(a)))
     out = []
     for k in range(len(fv)):
         total = fv[0] * gv[k]

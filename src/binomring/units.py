@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul, sub
 
 from .errors import NotAUnitError, NotInvertibleInRingError, RootNotRepresentableError
 from .poly import RatPoly
-from .seqcore import TruncSeq, _pascal_row, bullet, make_eps, make_named, scale
+from .seqcore import TruncSeq, _over_common, _pascal_row, _rational, _widen, bullet, make_eps, make_named, scale
 
 
 def _unit_reciprocal(v) -> Fraction:
@@ -94,7 +95,9 @@ def power_rat(f: TruncSeq, p: int, q: int) -> TruncSeq:
 
     with C(k-1,k) = 0 and g(0) the rational q-th root of f(0)^p. At p/q = -1
     the coefficient is -C(k,i), the usual inverse loop. Cost is O(K^2) ring
-    operations whatever p and q are. Positive integer powers keep repeated
+    operations whatever p and q are; for Fraction sequences the sums run over
+    integer numerators, g's kept over a running lcm (seqcore's
+    common-denominator kernel). Positive integer powers keep repeated
     squaring, the only route defined when f(0) is not a unit.
     """
     if q < 1:
@@ -111,11 +114,23 @@ def power_rat(f: TruncSeq, p: int, q: int) -> TruncSeq:
         return power_int(f, p)
     f0 = lead.constant_value() if isinstance(lead, RatPoly) else lead
     g = [_rat_mth_root(f0 ** p, q)]
+    fv = f.values
+    if _rational(fv):
+        # integer numerators: f = a/da, g = G/den; the da of both sides cancels
+        a, _ = _over_common(fv)
+        qa0, tail = q * a[0], a[1:]
+        G, den = [g[0].numerator], g[0].denominator
+        for k in range(1, len(a)):
+            row = _pascal_row(k - 1)
+            coef = map(sub, map(p.__mul__, row), map(q.__mul__, row[1:] + (0,)))
+            gk = Fraction(sum(map(mul, map(mul, coef, tail), G[::-1])), qa0 * den)
+            g.append(gk)
+            den = _widen(G, den, gk)
+        return TruncSeq(g)
     inv = Fraction(1, 1) / (q * f0)
     if isinstance(lead, RatPoly) and p not in (1, -1):
         # f(0) is a factor of every entry k >= 1 of f^p, so they stay polynomials
         inv = RatPoly.const(inv)
-    fv = f.values
     for k in range(1, len(fv)):
         row = _pascal_row(k - 1)
         total = p * fv[k] * g[0]  # the i = k term, where C(k-1,k) = 0

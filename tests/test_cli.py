@@ -316,3 +316,23 @@ def test_op_pow_and_root_bytes_on_polynomial_file(tmp_path, capsys):
     _, out, _ = run(capsys, "op", "root", "--m", "2", str(path))
     assert out == ('{"name":"bernoulli-poly","depth":2,"values":[["1","1"],'
                    '[["-1","4"],["1","2"]],[["1","48"],["-1","4"],["1","4"]]]}\n')
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "gould12", "--m", "-1"),
+    ("verify", "gould12", "--n", "-2"),
+    ("verify", "eq31", "--m", "-3", "--n", "1"),
+    ("verify", "eq31", "--n", "-1"),
+])
+def test_verify_negative_indices_exit_code(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid parameters:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cap", ["abc", "-1", "2.5", ""])
+def test_bad_depth_cap_is_a_usage_error(capsys, monkeypatch, cap):
+    monkeypatch.setenv("TOOL_MAX_DEPTH", cap)
+    code, out, err = run(capsys, "gen", "e", "--depth", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: TOOL_MAX_DEPTH") and "Traceback" not in err

@@ -194,3 +194,11 @@ def test_twist_rule(x, y, z, f, g):
     )
     rhs = bullet(pointwise_mul(make_eps(x * y, K), f), pointwise_mul(make_eps(x * z, K), g))
     assert lhs == rhs
+
+
+def test_negative_index_does_not_wrap():
+    f = seq(1, 2, 3)
+    assert f[2] == 3 and f[1:] == (F(2), F(3))
+    for k in (-1, -3, 3):
+        with pytest.raises(IndexError):
+            f[k]
