@@ -161,11 +161,17 @@ def dirichlet_inverse(f: DirSeq) -> DirSeq:
         raise NotAUnitError("f(1) = 0")
     a, _ = _over_common(f.values)
     a.insert(0, 0)  # 1-based, like g
+    n = f.bound
+    # every divisor list in one sieve; appending d in ascending order keeps each list sorted
+    divs: list[list[int]] = [[] for _ in range(n + 1)]
+    for d in range(1, n + 1):
+        for m in range(d, n + 1, d):
+            divs[m].append(d)
     g = [Fraction(0), Fraction(1) / f.at(1)]
     G, den = [0, g[1].numerator], g[1].denominator
-    for k in range(2, f.bound + 1):
-        ds = divisors(k)
-        # divisors come sorted, so k // d runs down ds[:0:-1] as d runs up ds[:-1]
+    for k in range(2, n + 1):
+        ds = divs[k]
+        # ds is sorted, so k // d runs down ds[:0:-1] as d runs up ds[:-1]
         gk = Fraction(-sum(map(mul, map(G.__getitem__, ds[:-1]), map(a.__getitem__, ds[:0:-1]))), a[1] * den)
         g.append(gk)
         den = _widen(G, den, gk)

@@ -128,8 +128,11 @@ class TruncSeq:
         return iter(self._values)
 
     def __getitem__(self, k):
-        """f(k) for 0 <= k <= depth (a slice gives a tuple); negative indices do not wrap."""
-        if isinstance(k, int) and k < 0:
+        """f(k) for 0 <= k <= depth (a slice gives a tuple); negative indices and slice bounds do not wrap."""
+        if isinstance(k, slice):
+            if (k.start or 0) < 0 or (k.stop or 0) < 0:
+                raise IndexError(f"slice {k.start}:{k.stop} outside 0..{self.depth}")
+        elif isinstance(k, int) and k < 0:
             raise IndexError(f"index {k} outside 0..{self.depth}")
         return self._values[k]
 

@@ -2,7 +2,8 @@
 
 Bernoulli numbers arise as the convolution inverse of xi1(k) = 1/(k+1);
 Bernoulli polynomials as the convolution of the numbers with the geometric
-sequence of the indeterminate. Euler values, power-sum polynomials,
+sequence of the indeterminate, built directly as the Appell sequence
+B_k(x) = sum_j C(k,j) B(k-j) x^j. Euler values, power-sum polynomials,
 Norlund (rational-power Bernoulli) sequences and Moebius-Bernoulli
 polynomials follow from the same ring operations.
 """
@@ -12,10 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import mul
 
 from .dirichlet import divisors, mobius_value
-from .poly import RatPoly, X
-from .seqcore import TruncSeq, add, binom, bullet, make_eps, make_named, make_xi, scale, sub
+from .poly import RatPoly, X, _canonical
+from .seqcore import (TruncSeq, _over_common, _pascal_row, add, binom, bullet, make_eps, make_named, make_xi,
+                      scale, sub)
 from .units import inverse, power_rat
 
 
@@ -25,10 +28,21 @@ def bernoulli(depth: int) -> TruncSeq:
     return inverse(make_named("xi1", depth))
 
 
+def _appell(c: TruncSeq) -> TruncSeq:
+    """The Appell sequence of a rational c: entry k is the RatPoly sum_j C(k,j) c(k-j) x^j.
+
+    Its exponential generating function is C(t) e^(xt), so this equals
+    bullet(c, make_eps(X, K)), built coefficient by coefficient over the
+    common denominator of c instead of through RatPoly products.
+    """
+    a, den = _over_common(c.values)
+    return TruncSeq(_canonical(list(map(mul, _pascal_row(k), a[k::-1])), den) for k in range(len(a)))
+
+
 @lru_cache(maxsize=None)
 def bernoulli_poly(depth: int) -> TruncSeq:
     """RatPoly-valued sequence whose entry k is the k-th Bernoulli polynomial."""
-    return bullet(bernoulli(depth), make_eps(X, depth))
+    return _appell(bernoulli(depth))
 
 
 def bernoulli_poly_at(x, depth: int) -> TruncSeq:
@@ -87,8 +101,7 @@ def euler1(depth: int) -> TruncSeq:
 def euler_poly(depth: int) -> TruncSeq:
     """RatPoly-valued sequence of Euler polynomials: 2 eps_x * (I + e)^(-1)."""
     K = depth
-    core = inverse(add(make_named("I", K), make_named("e", K)))
-    return scale(2, bullet(make_eps(X, K), core))
+    return _appell(scale(2, inverse(add(make_named("I", K), make_named("e", K)))))
 
 
 @dataclass(frozen=True)
@@ -165,20 +178,17 @@ def norlund(p: int, q: int, depth: int) -> TruncSeq:
 
 
 def mobius_bernoulli(n: int, depth: int) -> TruncSeq:
-    """Moebius-Bernoulli polynomials M_k(x, n) = sum_{d|n} mu(d) d^(k-1) B_k(x/d)."""
+    """Moebius-Bernoulli polynomials M_k(x, n) = sum_{d|n} mu(d) d^(k-1) B_k(x/d).
+
+    Coefficient j of d^(k-1) B_k(x/d) is C(k,j) B(k-j) d^(k-1-j), so M is the
+    Appell sequence of c(m) = B(m) sum_{d|n} mu(d) d^(m-1).
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    polys = bernoulli_poly(depth)
-    out = []
-    for k in range(depth + 1):
-        total = RatPoly()
-        for d in divisors(n):
-            mu = mobius_value(d)
-            if mu == 0:
-                continue
-            total = total + mu * Fraction(d) ** (k - 1) * polys[k].compose_affine(Fraction(1, d), 0)
-        out.append(total)
-    return TruncSeq(out)
+    ds = [(mobius_value(d), d) for d in divisors(n)]
+    # n sum mu(d) d^(m-1) = sum mu(d) d^m (n/d), an integer
+    weights = (sum(mu * d ** m * (n // d) for mu, d in ds if mu) for m in range(depth + 1))
+    return _appell(TruncSeq(Fraction(b * w, n) for b, w in zip(bernoulli(depth), weights)))
 
 
 def mobius_bernoulli_numbers(n: int, depth: int) -> TruncSeq:

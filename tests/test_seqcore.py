@@ -202,3 +202,11 @@ def test_negative_index_does_not_wrap():
     for k in (-1, -3, 3):
         with pytest.raises(IndexError):
             f[k]
+
+
+def test_negative_slice_bounds_do_not_wrap():
+    f = seq(1, 2, 3)
+    assert f[0:2] == (F(1), F(2)) and f[::-1] == (F(3), F(2), F(1)) and f[1:99] == (F(2), F(3))
+    for bad in (slice(-2, None), slice(None, -1), slice(0, -1), slice(-3, 3, 1)):
+        with pytest.raises(IndexError):
+            f[bad]

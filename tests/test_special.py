@@ -4,17 +4,21 @@ from fractions import Fraction as F
 
 import pytest
 
+from binomring.dirichlet import mobius_value
 from binomring.poly import RatPoly, X
 from binomring.seqcore import (
     TruncSeq,
+    add,
     bullet,
     make_eps,
     make_named,
     make_xi,
     pointwise_mul,
+    scale,
     sub,
 )
 from binomring.special import (
+    _appell,
     ber_inv_pow,
     bernoulli,
     bernoulli_family,
@@ -288,3 +292,44 @@ def test_preconditions():
         mobius_bernoulli(0, 4)
     with pytest.raises(ValueError):
         power_sum_bruteforce(-1, 2)
+
+
+# The Appell builders against the ring products they replace.
+
+
+def test_appell_matches_bullet_with_eps_x():
+    rng = random.Random(7)
+    for K in range(13):
+        seqs = (bernoulli(K), euler1(K), make_named("e", K),
+                TruncSeq(F(rng.randint(-20, 20), rng.randint(1, 30)) for _ in range(K + 1)))
+        for c in seqs:
+            got, want = _appell(c), bullet(c, make_eps(X, K))
+            assert got == want
+            assert all(isinstance(v, RatPoly) for v in got)
+            assert [type(v) for v in got] == [type(v) for v in want]
+
+
+def test_bernoulli_and_euler_poly_match_products():
+    for K in range(13):
+        assert bernoulli_poly(K) == bullet(bernoulli(K), make_eps(X, K))
+        want = scale(2, bullet(make_eps(X, K), inverse(add(make_named("I", K), make_named("e", K)))))
+        got = euler_poly(K)
+        assert got == want
+        assert all(isinstance(v, RatPoly) for v in bernoulli_poly(K)) and all(isinstance(v, RatPoly) for v in got)
+
+
+def test_mobius_bernoulli_matches_compose_affine_form():
+    for n in (1, 2, 4, 6, 7, 12, 30):
+        for K in range(13):
+            polys = bullet(bernoulli(K), make_eps(X, K))
+            want = []
+            for k in range(K + 1):
+                total = RatPoly()
+                for d in range(1, n + 1):
+                    mu = mobius_value(d) if n % d == 0 else 0
+                    if mu:
+                        total = total + mu * F(d) ** (k - 1) * polys[k].compose_affine(F(1, d), 0)
+                want.append(total)
+            got = mobius_bernoulli(n, K)
+            assert list(got) == want
+            assert all(isinstance(v, RatPoly) for v in got)
