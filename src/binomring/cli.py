@@ -8,7 +8,8 @@ oeis-compare (diff a sequence against a local OEIS b-file).
 Exit codes: 0 success/pass, 1 identity or comparison failure, 2 usage
 error, 3 mathematical domain error (non-unit input, unrepresentable root,
 depth mismatch). TOOL_MAX_DEPTH (default 256) caps --depth; a value that
-is not an integer >= 0 is a usage error.
+is not an integer >= 0 is a usage error. table1 also refuses a --depth
+beyond the published table's 8.
 """
 from __future__ import annotations
 
@@ -16,13 +17,16 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import identities, jsonio, special
+from . import jsonio
 from .errors import DomainError
 from .poly import RatPoly
-from .roots_table import PUBLISHED_ROOT_ROWS, root_table_cells
-from .seqcore import TruncSeq, bullet, binomial_invert, binomial_transform, cauchy, make_eps, make_named, make_xi
-from .units import decompose, inverse, mth_root, power_rat
+
+if TYPE_CHECKING:
+    from .seqcore import TruncSeq
+
+# Each command imports the modules it runs, so a process loads no more than its command needs.
 
 GENERATORS = ("e", "I", "nu", "eps", "xi1", "xi", "bernoulli", "bernoulli-poly",
               "euler1", "euler-poly", "norlund", "faulhaber", "mobius-bernoulli", "sigma")
@@ -33,6 +37,14 @@ OPERATIONS = ("bullet", "cauchy", "invert", "root", "pow", "transform", "invert-
 
 class UsageError(Exception):
     pass
+
+
+def __getattr__(name):
+    # cli.identities, as the verify command sees it
+    if name == "identities":
+        from . import identities
+        return identities
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _max_depth() -> int:
@@ -130,6 +142,9 @@ def cmd_gen(args) -> int:
     if name not in GENERATORS:
         raise UsageError(f"unknown generator {name!r}; choose from {', '.join(GENERATORS)}")
     depth = _check_depth(args.depth)
+    from . import special
+    from .seqcore import make_eps, make_named, make_xi
+
     if name in ("e", "I", "nu", "xi1"):
         seq = make_named(name, depth)
     elif name == "eps":
@@ -151,7 +166,7 @@ def cmd_gen(args) -> int:
     elif name == "mobius-bernoulli":
         seq = special.mobius_bernoulli(int(_require(args, "n")), depth)
     else:
-        seq = special.sigma(depth).entries
+        seq = special.sigma(depth)
     _emit(args, _serialize(args, name, seq))
     return 0
 
@@ -166,6 +181,9 @@ def cmd_op(args) -> int:
         raise UsageError(f"{op} needs exactly two input files")
     if not binary and len(files) != 1:
         raise UsageError(f"{op} needs exactly one input file")
+    from .seqcore import binomial_invert, binomial_transform, bullet, cauchy
+    from .units import decompose, inverse, mth_root, power_rat
+
     name, seq = _load_seq(files[0])
     if binary:
         _, other = _load_seq(files[1])
@@ -202,6 +220,8 @@ def cmd_verify(args) -> int:
     if args.x is not None:
         params["x"] = _parse_rat(args.x)
     depth = _check_depth(args.depth)
+    from . import identities
+
     try:
         report = identities.check(args.name, params, depth)
     except KeyError as exc:
@@ -211,7 +231,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    depth = min(_check_depth(args.depth), 8)
+    from .roots_table import PUBLISHED_ROOT_ROWS, TABLE_DEPTH, root_table_cells
+
+    depth = _check_depth(args.depth)
+    if depth > TABLE_DEPTH:
+        raise UsageError(f"table1 depth {depth} exceeds the published table's depth {TABLE_DEPTH}")
     cells = root_table_cells(depth)
     widths = (3, 26, 26, 10)
     print(f"{'m,k':>{widths[0]}} {'computed':>{widths[1]}} {'published':>{widths[2]}} {'status':>{widths[3]}}")

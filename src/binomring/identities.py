@@ -15,10 +15,9 @@ the report parameters. See the tuenter check for the printed c=0 case.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from .poly import RatPoly, X
 from .seqcore import (
@@ -33,6 +32,7 @@ from .seqcore import (
     pointwise_mul,
     psi_product,
     scale,
+    sub,
 )
 from .special import (
     bernoulli,
@@ -50,17 +50,15 @@ DEFAULT_DEPTH = 12
 _DEFAULT_SEED = 20270406
 
 
-@dataclass(frozen=True)
-class FirstFailure:
+class FirstFailure(NamedTuple):
     index: object
     lhs: str
     rhs: str
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     name: str
-    params: dict = field(default_factory=dict)
+    params: dict
     depth: int = DEFAULT_DEPTH
     passed: bool = True
     first_failure: Optional[FirstFailure] = None
@@ -503,8 +501,15 @@ def _check_eq21(params, depth):
     return _verdict("eq21", {"a": a, "b": b, "c": c}, depth, _seq_mismatches(lhs, rhs))
 
 
+def _remainder(a, b, Bc, B, K):
+    """R1 - R2 at depth K, where R1 = (eps_b Bc) * (eps_a B) and R2 swaps a and b."""
+    ea, eb = _eps_pt(a, K), _eps_pt(b, K)
+    return sub(bullet(pointwise_mul(eb, Bc), pointwise_mul(ea, B)),
+               bullet(pointwise_mul(ea, Bc), pointwise_mul(eb, B)))
+
+
 def _eq22_sides(a, b, c, depth):
-    """Both sigma-weighted products at depth+1, plus the antisymmetric remainder.
+    """Both sigma-weighted products at depth+1, plus the antisymmetric remainder R1 - R2.
 
     The exact relation is  b L1(n) - a L2(n) = (R1 - R2)(n+1) / (n+1); the
     remainder vanishes identically when c = 0, which recovers the plain
@@ -512,28 +517,25 @@ def _eq22_sides(a, b, c, depth):
     """
     K = depth + 1
     Bc = bernoulli_poly_at(c, K)
-    B = bernoulli(K)
     ea, eb = _eps_pt(a, K), _eps_pt(b, K)
     s1 = sigma_eval(a + c - 1, K)
     s2 = sigma_eval(b + c - 1, K)
     L1 = bullet(pointwise_mul(ea, Bc), pointwise_mul(eb, s1))
     L2 = bullet(pointwise_mul(eb, Bc), pointwise_mul(ea, s2))
-    R1 = bullet(pointwise_mul(eb, Bc), pointwise_mul(ea, B))
-    R2 = bullet(pointwise_mul(ea, Bc), pointwise_mul(eb, B))
-    return L1, L2, R1, R2
+    return L1, L2, _remainder(a, b, Bc, bernoulli(K), K)
 
 
 @register("eq22")
 def _check_eq22(params, depth):
     rng = _rng(params)
     a, b, c = _abc(params, rng)
-    L1, L2, R1, R2 = _eq22_sides(a, b, c, depth)
+    L1, L2, R = _eq22_sides(a, b, c, depth)
     printed_ok = all(b * L1[n] == a * L2[n] for n in range(depth + 1))
 
     def mism():
         for n in range(depth + 1):
             lhs = b * L1[n] - a * L2[n]
-            rhs = (R1[n + 1] - R2[n + 1]) / (n + 1)
+            rhs = R[n + 1] / (n + 1)
             if lhs != rhs:
                 yield n, lhs, rhs
 
@@ -541,25 +543,48 @@ def _check_eq22(params, depth):
     return _verdict("eq22", used, depth, mism())
 
 
-def _eq23_value(a, b, c, n, with_correction: bool):
-    den = b ** (n - 1) * (b + c) - a ** (n - 1) * (a + c)
-    if den == 0:
-        raise ValueError(f"eq23 precondition violated at n={n}: denominator is 0")
-    Bc = bernoulli_poly_at(c, n + 1)
-    total = Fraction(0)
-    for i in range(1, n + 1):
-        total += binom(n, i) * Bc[n - i] * (
-            a ** (n - 1 - i) * b ** i * sigma_eval(a + c - 1, i)[i]
-            - a ** i * b ** (n - 1 - i) * sigma_eval(b + c - 1, i)[i]
-        )
-    if with_correction:
-        B = bernoulli(n + 1)
-        K = n + 1
-        ea, eb = _eps_pt(a, K), _eps_pt(b, K)
-        R1 = bullet(pointwise_mul(eb, Bc), pointwise_mul(ea, B))
-        R2 = bullet(pointwise_mul(ea, Bc), pointwise_mul(eb, B))
-        total -= (R1[n + 1] - R2[n + 1]) / ((n + 1) * a * b)
-    return Bc[n], total / den
+# sigma_eval, bernoulli_poly_at and the remainder are prefix-consistent: entry i
+# is the same at every depth >= i. So the eq23 and eq24 terms build each of them
+# once at depth nmax + 1 and index it, rather than rebuilding it per n and i.
+
+def _eq23_terms(a, b, c, nmax: int):
+    """Yield (n, B_n(c), printed right side, corrected right side) of eq23 for n = 1..nmax."""
+    K = nmax + 1
+    Bc = bernoulli_poly_at(c, K)
+    s1 = sigma_eval(a + c - 1, nmax)
+    s2 = sigma_eval(b + c - 1, nmax)
+    R = _remainder(a, b, Bc, bernoulli(K), K)
+    for n in range(1, nmax + 1):
+        den = b ** (n - 1) * (b + c) - a ** (n - 1) * (a + c)
+        if den == 0:
+            raise ValueError(f"eq23 precondition violated at n={n}: denominator is 0")
+        total = sum(binom(n, i) * Bc[n - i] * (a ** (n - 1 - i) * b ** i * s1[i] - a ** i * b ** (n - 1 - i) * s2[i])
+                    for i in range(1, n + 1))
+        yield n, Bc[n], total / den, (total - R[n + 1] / ((n + 1) * a * b)) / den
+
+
+def _eq24_terms(a, b, nmax: int):
+    """Yield (n, B_n, printed right side, corrected right side) of eq24 for n = 1..nmax."""
+    K = nmax + 1
+    B = bernoulli(K)
+    s1 = sigma_eval(a, nmax)
+    s2 = sigma_eval(b, nmax)
+    R = _remainder(a, b, bernoulli_poly_at(Fraction(1), K), B, K)
+    for n in range(1, nmax + 1):
+        den = b ** (n - 1) * (b + 1) - a ** (n - 1) * (a + 1)
+        if den == 0:
+            raise ValueError(f"eq24 precondition violated at n={n}")
+        total = sum(binom(n, i) * B[n - i] * (-1) ** i
+                    * (a ** (n - 1 - i) * b ** i * s1[i] - a ** i * b ** (n - 1 - i) * s2[i])
+                    for i in range(1, n + 1))
+        yield n, B[n], total / den, (total - (-1) ** n * R[n + 1] / ((n + 1) * a * b)) / den
+
+
+def _get_nmax(params: Mapping, depth: int) -> int:
+    nmax = _get_int(params, "n", depth)
+    if nmax < 1:
+        raise ValueError("n must be >= 1")
+    return nmax
 
 
 def _sample_eq23_triple(rng, nmax, force_c=None):
@@ -572,10 +597,17 @@ def _sample_eq23_triple(rng, nmax, force_c=None):
             return a, b, c
 
 
+def _corrected_verdict(name, used, depth, terms):
+    """Verdict on the corrected sides, recording in used whether the printed sides held too."""
+    terms = list(terms)
+    used["printed_form_holds"] = all(lhs == printed for _, lhs, printed, _ in terms)
+    return _verdict(name, used, depth, ((n, lhs, rhs) for n, lhs, _, rhs in terms if lhs != rhs))
+
+
 @register("eq23")
 def _check_eq23(params, depth):
     rng = _rng(params)
-    nmax = _get_int(params, "n", depth)
+    nmax = _get_nmax(params, depth)
     if all(k in params for k in ("a", "b", "c")):
         a = _get_rat(params, "a", None)
         b = _get_rat(params, "b", None)
@@ -585,83 +617,33 @@ def _check_eq23(params, depth):
                 raise ValueError(f"eq23 precondition violated at n={n}")
     else:
         a, b, c = _sample_eq23_triple(rng, nmax)
-    printed_ok = True
-
-    def mism():
-        nonlocal printed_ok
-        for n in range(1, nmax + 1):
-            lhs, rhs_plain = _eq23_value(a, b, c, n, with_correction=False)
-            if lhs != rhs_plain:
-                printed_ok = False
-            lhs, rhs = _eq23_value(a, b, c, n, with_correction=True)
-            if lhs != rhs:
-                yield n, lhs, rhs
-
-    mismatches = list(mism())
-    used = {"a": a, "b": b, "c": c, "n": nmax, "printed_form_holds": printed_ok}
-    return _verdict("eq23", used, depth, mismatches)
+    return _corrected_verdict("eq23", {"a": a, "b": b, "c": c, "n": nmax}, depth,
+                              _eq23_terms(a, b, c, nmax))
 
 
 @register("tuenter")
 def _check_tuenter(params, depth):
     rng = _rng(params)
-    nmax = _get_int(params, "n", depth)
+    nmax = _get_nmax(params, depth)
     a = _get_rat(params, "a", None)
     b = _get_rat(params, "b", None)
     if a is None or b is None:
         a, b, _ = _sample_eq23_triple(rng, nmax, force_c=Fraction(0))
-
-    def mism():
-        for n in range(1, nmax + 1):
-            lhs, rhs = _eq23_value(a, b, Fraction(0), n, with_correction=False)
-            if lhs != rhs:
-                yield n, lhs, rhs
-
-    return _verdict("tuenter", {"a": a, "b": b, "n": nmax}, depth, mism())
+    # the printed form, which needs no correction at c = 0
+    terms = _eq23_terms(a, b, Fraction(0), nmax)
+    return _verdict("tuenter", {"a": a, "b": b, "n": nmax}, depth,
+                    ((n, lhs, printed) for n, lhs, printed, _ in terms if lhs != printed))
 
 
 @register("eq24")
 def _check_eq24(params, depth):
     rng = _rng(params)
-    nmax = _get_int(params, "n", depth)
+    nmax = _get_nmax(params, depth)
     a = _get_rat(params, "a", None)
     b = _get_rat(params, "b", None)
     if a is None or b is None:
         a, b, _ = _sample_eq23_triple(rng, nmax, force_c=Fraction(1))
-    B = bernoulli(nmax + 1)
-    printed_ok = True
-
-    def one_side(n, with_correction):
-        den = b ** (n - 1) * (b + 1) - a ** (n - 1) * (a + 1)
-        if den == 0:
-            raise ValueError(f"eq24 precondition violated at n={n}")
-        total = Fraction(0)
-        for i in range(1, n + 1):
-            total += binom(n, i) * B[n - i] * Fraction(-1) ** i * (
-                a ** (n - 1 - i) * b ** i * sigma_eval(a, i)[i]
-                - a ** i * b ** (n - 1 - i) * sigma_eval(b, i)[i]
-            )
-        if with_correction:
-            K = n + 1
-            Bc = bernoulli_poly_at(Fraction(1), K)
-            ea, eb = _eps_pt(a, K), _eps_pt(b, K)
-            R1 = bullet(pointwise_mul(eb, Bc), pointwise_mul(ea, bernoulli(K)))
-            R2 = bullet(pointwise_mul(ea, Bc), pointwise_mul(eb, bernoulli(K)))
-            total -= Fraction(-1) ** n * (R1[n + 1] - R2[n + 1]) / ((n + 1) * a * b)
-        return total / den
-
-    def mism():
-        nonlocal printed_ok
-        for n in range(1, nmax + 1):
-            if B[n] != one_side(n, False):
-                printed_ok = False
-            rhs = one_side(n, True)
-            if B[n] != rhs:
-                yield n, B[n], rhs
-
-    mismatches = list(mism())
-    used = {"a": a, "b": b, "n": nmax, "printed_form_holds": printed_ok}
-    return _verdict("eq24", used, depth, mismatches)
+    return _corrected_verdict("eq24", {"a": a, "b": b, "n": nmax}, depth, _eq24_terms(a, b, nmax))
 
 
 @register("cor9")

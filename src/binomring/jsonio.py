@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .dirichlet import DirSeq
-from .identities import IdentityReport
 from .poly import RatPoly
 from .seqcore import TruncSeq
+
+if TYPE_CHECKING:
+    from .dirichlet import DirSeq
+    from .identities import IdentityReport
 
 
 def rat_to_pair(v: Fraction) -> list[str]:
@@ -66,6 +69,8 @@ def dirseq_to_obj(name: str, seq: DirSeq) -> dict:
 
 
 def obj_to_dirseq(obj: dict) -> tuple[str, DirSeq]:
+    from .dirichlet import DirSeq
+
     try:
         name = obj["name"]
         bound = obj["bound"]

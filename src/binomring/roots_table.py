@@ -11,8 +11,8 @@ flags each published cell that disagrees.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .egf import norlund_egf
 from .special import bernoulli
@@ -32,8 +32,7 @@ PUBLISHED_ROOT_ROWS: dict[int, tuple[str, ...]] = {
 TABLE_DEPTH = 8
 
 
-@dataclass(frozen=True)
-class RootCell:
+class RootCell(NamedTuple):
     m: int
     k: int
     computed: Fraction

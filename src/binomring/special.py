@@ -9,13 +9,11 @@ polynomials follow from the same ring operations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from operator import mul
 
-from .dirichlet import divisors, mobius_value
 from .poly import RatPoly, X, _canonical
 from .seqcore import (TruncSeq, _over_common, _pascal_row, add, binom, bullet, make_eps, make_named, make_xi,
                       scale, sub)
@@ -48,18 +46,6 @@ def bernoulli_poly(depth: int) -> TruncSeq:
 def bernoulli_poly_at(x, depth: int) -> TruncSeq:
     """Numeric Bernoulli polynomial values B_k(x) at a rational point."""
     return bullet(bernoulli(depth), make_eps(Fraction(x), depth))
-
-
-@dataclass(frozen=True)
-class BernoulliFamily:
-    """Numbers and polynomials together; polys evaluated at 0 give the numbers."""
-
-    numbers: TruncSeq
-    polys: TruncSeq
-
-
-def bernoulli_family(depth: int) -> BernoulliFamily:
-    return BernoulliFamily(numbers=bernoulli(depth), polys=bernoulli_poly(depth))
 
 
 def poly_seq_eval(seq: TruncSeq, x) -> TruncSeq:
@@ -104,24 +90,18 @@ def euler_poly(depth: int) -> TruncSeq:
     return _appell(scale(2, inverse(add(make_named("I", K), make_named("e", K)))))
 
 
-@dataclass(frozen=True)
-class SigmaFamily:
+@lru_cache(maxsize=None)
+def sigma(depth: int) -> TruncSeq:
     """Shifted power-sum polynomials: (n+1) sigma_x(n) = (B_poly(x+1) - B)(n+1).
 
     At integer x >= 0 the entry n evaluates to e(n) + 1^n + ... + x^n; the
     n = 0 entry is x + 1, one more than the bare power sum (the k = 0 power
     sum counts from 1). Use power_sum_poly for the oracle-aligned variant.
     """
-
-    entries: TruncSeq
-
-
-@lru_cache(maxsize=None)
-def sigma(depth: int) -> SigmaFamily:
     B = bernoulli(depth + 1)
     Bx1 = bullet(B, make_eps(X + 1, depth + 1))
     diff = sub(Bx1, B)
-    return SigmaFamily(entries=TruncSeq(diff[n + 1] / (n + 1) for n in range(depth + 1)))
+    return TruncSeq(diff[n + 1] / (n + 1) for n in range(depth + 1))
 
 
 def sigma_eval(y, depth: int) -> TruncSeq:
@@ -185,6 +165,8 @@ def mobius_bernoulli(n: int, depth: int) -> TruncSeq:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    from .dirichlet import divisors, mobius_value
+
     ds = [(mobius_value(d), d) for d in divisors(n)]
     # n sum mu(d) d^(m-1) = sum mu(d) d^m (n/d), an integer
     weights = (sum(mu * d ** m * (n // d) for mu, d in ds if mu) for m in range(depth + 1))

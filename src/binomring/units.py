@@ -9,9 +9,9 @@ routine, power_rat, which evaluates J.C.P. Miller's power recurrence.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul, sub
+from typing import NamedTuple
 
 from .errors import NotAUnitError, NotInvertibleInRingError, RootNotRepresentableError
 from .poly import RatPoly
@@ -140,8 +140,7 @@ def power_rat(f: TruncSeq, p: int, q: int) -> TruncSeq:
     return TruncSeq(g)
 
 
-@dataclass(frozen=True)
-class Membership:
+class Membership(NamedTuple):
     """Subgroup flags: units A, monic units U, scalars C, geometric V, units with f(1)=0 W."""
 
     in_A: bool
@@ -163,8 +162,7 @@ def membership(f: TruncSeq) -> Membership:
     return Membership(in_A, in_U, in_C, in_V, in_W)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Factors of f = v * w * c with v geometric, w(1) = 0, c = f(0) e."""
 
     v: TruncSeq

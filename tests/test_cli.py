@@ -336,3 +336,23 @@ def test_bad_depth_cap_is_a_usage_error(capsys, monkeypatch, cap):
     code, out, err = run(capsys, "gen", "e", "--depth", "2")
     assert code == 2 and out == ""
     assert err.startswith("error: TOOL_MAX_DEPTH") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "tuenter", "--n", "-5"),
+    ("verify", "eq23", "--n", "0"),
+    ("verify", "eq24", "--n", "0"),
+])
+def test_verify_empty_range_is_a_usage_error(capsys, argv):
+    # n < 1 would compare nothing and pass vacuously
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: invalid parameters: n must be >= 1\n"
+
+
+def test_table1_depth_beyond_published_table(capsys):
+    code, out, err = run(capsys, "table1", "--depth", "20")
+    assert code == 2 and out == ""
+    assert err.startswith("error: table1 depth 20 exceeds") and "Traceback" not in err
+    code, out, _ = run(capsys, "table1", "--depth", "8")
+    assert code == 0 and out == run(capsys, "table1")[1]

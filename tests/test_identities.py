@@ -5,13 +5,15 @@ import pytest
 
 from binomring.identities import (
     IdentityReport,
+    _eq23_terms,
+    _eq24_terms,
     build_symmetric_function,
     check,
     registered_names,
     run_all,
 )
-from binomring.seqcore import TruncSeq, deviation
-from binomring.special import bernoulli, euler1
+from binomring.seqcore import TruncSeq, binom, bullet, deviation, make_eps, pointwise_mul
+from binomring.special import bernoulli, bernoulli_poly_at, euler1, sigma_eval
 
 EXPECTED_NAMES = {
     "eq3", "eq9", "eq9-k0-a", "eq9-k0-b", "faulhaber", "powersum-sigma-form",
@@ -152,3 +154,52 @@ def test_seeded_checks_are_deterministic():
     a = check("gould12", {"seed": 7}, depth=10)
     b = check("gould12", {"seed": 7}, depth=10)
     assert a == b
+
+
+def _remainder_at(a, b, Bc, n):
+    """(R1 - R2)(n+1) of the sigma-weighted symmetry, built at depth n + 1."""
+    K = n + 1
+    ea, eb, B = make_eps(a, K), make_eps(b, K), bernoulli(K)
+    R1 = bullet(pointwise_mul(eb, Bc), pointwise_mul(ea, B))
+    R2 = bullet(pointwise_mul(ea, Bc), pointwise_mul(eb, B))
+    return R1[n + 1] - R2[n + 1]
+
+
+def _eq23_reference(a, b, c, n):
+    """Printed and corrected right sides of eq23 at one n, with sigma rebuilt for every i."""
+    Bc = bernoulli_poly_at(c, n + 1)
+    total = sum(binom(n, i) * Bc[n - i] * (a ** (n - 1 - i) * b ** i * sigma_eval(a + c - 1, i)[i]
+                                           - a ** i * b ** (n - 1 - i) * sigma_eval(b + c - 1, i)[i])
+                for i in range(1, n + 1))
+    den = b ** (n - 1) * (b + c) - a ** (n - 1) * (a + c)
+    return total / den, (total - _remainder_at(a, b, Bc, n) / ((n + 1) * a * b)) / den
+
+
+def _eq24_reference(a, b, n):
+    B = bernoulli(n + 1)
+    total = sum(binom(n, i) * B[n - i] * (-1) ** i * (a ** (n - 1 - i) * b ** i * sigma_eval(a, i)[i]
+                                                      - a ** i * b ** (n - 1 - i) * sigma_eval(b, i)[i])
+                for i in range(1, n + 1))
+    den = b ** (n - 1) * (b + 1) - a ** (n - 1) * (a + 1)
+    correction = (-1) ** n * _remainder_at(a, b, bernoulli_poly_at(1, n + 1), n) / ((n + 1) * a * b)
+    return total / den, (total - correction) / den
+
+
+@pytest.mark.parametrize("a, b, c", [
+    (F(1, 2), F(-3, 4), F(2)), (F(2), F(3), F(-1, 3)), (F(5, 7), F(-2, 9), F(1)), (F(3), F(-1, 2), F(0)),
+])
+def test_eq23_terms_match_per_n_reference(a, b, c):
+    terms = list(_eq23_terms(a, b, c, 10))
+    assert [t[0] for t in terms] == list(range(1, 11))
+    for n, lhs, printed, corrected in terms:
+        assert (printed, corrected) == _eq23_reference(a, b, c, n)
+        assert lhs == bernoulli_poly_at(c, n)[n] == corrected
+
+
+@pytest.mark.parametrize("a, b", [(F(1, 2), F(-3, 4)), (F(2), F(3)), (F(-5, 7), F(2, 9))])
+def test_eq24_terms_match_per_n_reference(a, b):
+    terms = list(_eq24_terms(a, b, 10))
+    assert [t[0] for t in terms] == list(range(1, 11))
+    for n, lhs, printed, corrected in terms:
+        assert (printed, corrected) == _eq24_reference(a, b, n)
+        assert lhs == bernoulli(n)[n] == corrected

@@ -1,0 +1,71 @@
+"""Lazy loading: each CLI command loads only the modules it runs, and every package export resolves."""
+import os
+import subprocess
+import sys
+
+import pytest
+
+import binomring
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+# runs one command, then writes the names of the loaded modules to the file named by argv[1]
+CHILD = ("import sys\n"
+         "from binomring.cli import main\n"
+         "code = main(sys.argv[2:])\n"
+         "open(sys.argv[1], 'w').write(' '.join(sys.modules))\n"
+         "sys.exit(code)\n")
+BARE = "import sys\nopen(sys.argv[1], 'w').write(' '.join(sys.modules))\n"
+
+
+def _modules(tmp_path, script, *argv):
+    out = tmp_path / "modules.txt"
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script, str(out), *argv], env=dict(os.environ, PYTHONPATH=path),
+                          cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(out.read_text().split())
+
+
+def loaded_by(tmp_path, *argv):
+    """Modules a binomring process loads for one command, beyond those the interpreter starts with."""
+    return _modules(tmp_path, CHILD, *argv) - _modules(tmp_path, BARE)
+
+
+@pytest.mark.parametrize("argv, wanted, unwanted", [
+    (("gen", "e", "--depth", "0"), {"binomring.seqcore"},
+     {"binomring.identities", "binomring.dirichlet", "binomring.roots_table", "binomring.egf"}),
+    (("op", "invert", "FILE"), {"binomring.units"}, {"binomring.special", "binomring.identities"}),
+    (("verify", "eq3"), {"binomring.identities"}, {"binomring.roots_table", "binomring.egf", "binomring.dirichlet"}),
+    (("table1",), {"binomring.roots_table"}, {"binomring.identities", "binomring.dirichlet"}),
+], ids=["gen", "op", "verify", "table1"])
+def test_command_loads_only_what_it_runs(tmp_path, argv, wanted, unwanted):
+    seq = tmp_path / "e.json"
+    seq.write_text('{"name": "e", "depth": 2, "values": [["1","1"], ["0","1"], ["0","1"]]}')
+    loaded = loaded_by(tmp_path, *(str(seq) if a == "FILE" else a for a in argv))
+    assert wanted <= loaded
+    assert not loaded & (unwanted | {"dataclasses", "inspect"})
+
+
+def test_package_import_loads_no_submodule(tmp_path):
+    loaded = _modules(tmp_path, "import binomring\n" + BARE)
+    assert {m for m in loaded if m.startswith("binomring")} == {"binomring"}
+
+
+def test_every_export_resolves():
+    assert len(binomring.__all__) == len(set(binomring.__all__))
+    for name in binomring.__all__:
+        obj = getattr(binomring, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj
+
+
+def test_star_import():
+    ns = {}
+    exec("from binomring import *", ns)
+    assert set(binomring.__all__) <= set(ns)
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "bernoulli_family", "BernoulliFamily", "SigmaFamily"])
+def test_unknown_attribute(name):
+    with pytest.raises(AttributeError, match=name):
+        getattr(binomring, name)

@@ -21,7 +21,6 @@ from binomring.special import (
     _appell,
     ber_inv_pow,
     bernoulli,
-    bernoulli_family,
     bernoulli_poly,
     bernoulli_poly_at,
     euler1,
@@ -98,9 +97,9 @@ def test_bernoulli_poly_translation():
 
 
 def test_bernoulli_family_invariants():
-    fam = bernoulli_family(8)
-    assert poly_seq_eval(fam.polys, 0) == fam.numbers
-    assert fam.polys == bullet(fam.numbers, make_eps(X, 8))
+    numbers, polys = bernoulli(8), bernoulli_poly(8)
+    assert poly_seq_eval(polys, 0) == numbers
+    assert polys == bullet(numbers, make_eps(X, 8))
 
 
 def test_inverse_of_bernoulli_poly_closed_form():
@@ -179,25 +178,24 @@ def test_euler_poly():
 
 
 def test_sigma_family():
-    fam = sigma(6)
+    sig = sigma(6)
     B = bernoulli(7)
     polys = bernoulli_poly(7)
     for n in range(7):
         # (n+1) sigma_x(n) = (B_poly(x+1) - B)(n+1)
-        assert (n + 1) * fam.entries[n] == polys[n + 1].compose_affine(1, 1) - B[n + 1]
+        assert (n + 1) * sig[n] == polys[n + 1].compose_affine(1, 1) - B[n + 1]
     # integer evaluation: power sum plus the k=0 identity bump
     for x in range(0, 6):
-        vals = poly_seq_eval(fam.entries, x)
+        vals = poly_seq_eval(sig, x)
         assert vals[0] == x + 1
         for n in range(1, 7):
             assert vals[n] == power_sum_bruteforce(x, n)
-    assert fam.entries[2].evaluate(3) == 14
+    assert sig[2].evaluate(3) == 14
 
 
 def test_sigma_eval_matches_family():
-    fam = sigma(6)
     y = F(5, 3)
-    assert sigma_eval(y, 6) == poly_seq_eval(fam.entries, y)
+    assert sigma_eval(y, 6) == poly_seq_eval(sigma(6), y)
 
 
 def test_power_sum_poly_oracle():
