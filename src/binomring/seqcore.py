@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import mul
 from typing import Iterable, Union
 
@@ -43,6 +43,8 @@ NAMED_SEQUENCES = ("e", "I", "nu", "xi1", "fact")
 
 _PASCAL_ROWS: list[tuple[int, ...]] = [(1,)]
 _PASCAL_LOCK = threading.Lock()
+# binom caches rows 0.._BINOM_CACHE_MAX, far past any kernel depth the CLI allows; beyond, math.comb
+_BINOM_CACHE_MAX = 512
 
 
 def _pascal_row(n: int) -> tuple[int, ...]:
@@ -82,9 +84,11 @@ def _widen(nums: list[int], den: int, v: Fraction) -> int:
 
 
 def binom(n: int, k: int) -> int:
-    """Binomial coefficient from a cached Pascal triangle."""
+    """Binomial coefficient: from a cached Pascal triangle up to row _BINOM_CACHE_MAX, else math.comb."""
     if k < 0 or k > n:
         return 0
+    if n > _BINOM_CACHE_MAX:
+        return comb(n, k)
     return _pascal_row(n)[k]
 
 

@@ -1,6 +1,9 @@
 """CLI behaviour: formats, exit codes, round trips."""
 import json
 import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -342,6 +345,8 @@ def test_bad_depth_cap_is_a_usage_error(capsys, monkeypatch, cap):
     ("verify", "tuenter", "--n", "-5"),
     ("verify", "eq23", "--n", "0"),
     ("verify", "eq24", "--n", "0"),
+    ("verify", "eq9-k0-a", "--n", "0"),
+    ("verify", "eq9-k0-b", "--n", "0"),
 ])
 def test_verify_empty_range_is_a_usage_error(capsys, argv):
     # n < 1 would compare nothing and pass vacuously
@@ -356,3 +361,30 @@ def test_table1_depth_beyond_published_table(capsys):
     assert err.startswith("error: table1 depth 20 exceeds") and "Traceback" not in err
     code, out, _ = run(capsys, "table1", "--depth", "8")
     assert code == 0 and out == run(capsys, "table1")[1]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "carlitz", "--x", "5/3", "--k", "99"), "carlitz does not take 'k', 'x'; it takes m, n, bernoulli"),
+    (("verify", "eq25-iso", "--k", "-1"), "eq25-iso does not take 'k'; it takes seed, f, g"),
+    (("verify", "prop10", "--n", "0"), "prop10 does not take 'n'; it takes seed, f, g"),
+    (("verify", "eq3", "--q", "7"), "eq3 does not take 'q'; it takes bernoulli"),
+    (("verify", "eq20", "--m", "1"), "eq20 does not take 'm'; it takes no parameters"),
+], ids=["carlitz", "eq25-iso", "prop10", "eq3", "eq20"])
+def test_verify_parameter_the_check_does_not_read(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: invalid parameters: {message}\n"
+
+
+def test_verify_eq31_large_n_stays_bounded(tmp_path):
+    # binom of m + n + s > 512 comes from math.comb, so no Pascal triangle of 3000 rows is kept
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "binomring.cli", "verify", "eq31", "--m", "1", "--n", "3000"],
+                          env=dict(os.environ, PYTHONPATH=path), cwd=tmp_path, capture_output=True, text=True,
+                          timeout=60, preexec_fn=limit)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["pass"] is True

@@ -1,17 +1,13 @@
 """Identity registry: defaults pass, negative controls fail, params validate."""
+import importlib
 from fractions import Fraction as F
 
 import pytest
 
-from binomring.identities import (
-    IdentityReport,
-    _eq23_terms,
-    _eq24_terms,
-    build_symmetric_function,
-    check,
-    registered_names,
-    run_all,
-)
+from binomring import identities
+from binomring.identities import IdentityReport, check, registered_names, run_all
+from binomring.identities.poly_symmetry import _eq23_terms, _eq24_terms
+from binomring.identities.symmetric import build_symmetric_function
 from binomring.seqcore import TruncSeq, binom, bullet, deviation, make_eps, pointwise_mul
 from binomring.special import bernoulli, bernoulli_poly_at, euler1, sigma_eval
 
@@ -36,6 +32,25 @@ def test_registry_is_complete():
 def test_all_defaults_pass_depth_12():
     for report in run_all(depth=12):
         assert report.passed, (report.name, report.first_failure)
+
+
+FAMILIES = ("inverse_power", "power_sums", "symmetric", "poly_symmetry", "convolution")
+
+
+def test_table_entries_resolve_in_their_families():
+    for name in EXPECTED_NAMES:
+        fn = identities._check_function(name)
+        assert callable(fn)
+        assert fn.__module__ == f"binomring.identities.{identities._TABLE[name][0]}"
+
+
+def test_families_hold_exactly_the_registry():
+    found = set()
+    for family in FAMILIES:
+        module = importlib.import_module(f"binomring.identities.{family}")
+        found |= {attr[len("_check_"):] for attr in vars(module) if attr.startswith("_check_")}
+    assert {identities._TABLE[name][0] for name in EXPECTED_NAMES} == set(FAMILIES)
+    assert found == {name.replace("-", "_") for name in EXPECTED_NAMES}
 
 
 def test_unknown_name():

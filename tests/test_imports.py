@@ -18,18 +18,18 @@ CHILD = ("import sys\n"
 BARE = "import sys\nopen(sys.argv[1], 'w').write(' '.join(sys.modules))\n"
 
 
-def _modules(tmp_path, script, *argv):
+def _modules(tmp_path, script, *argv, code=0):
     out = tmp_path / "modules.txt"
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", script, str(out), *argv], env=dict(os.environ, PYTHONPATH=path),
                           cwd=tmp_path, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return set(out.read_text().split())
 
 
-def loaded_by(tmp_path, *argv):
+def loaded_by(tmp_path, *argv, code=0):
     """Modules a binomring process loads for one command, beyond those the interpreter starts with."""
-    return _modules(tmp_path, CHILD, *argv) - _modules(tmp_path, BARE)
+    return _modules(tmp_path, CHILD, *argv, code=code) - _modules(tmp_path, BARE)
 
 
 @pytest.mark.parametrize("argv, wanted, unwanted", [
@@ -45,6 +45,28 @@ def test_command_loads_only_what_it_runs(tmp_path, argv, wanted, unwanted):
     loaded = loaded_by(tmp_path, *(str(seq) if a == "FILE" else a for a in argv))
     assert wanted <= loaded
     assert not loaded & (unwanted | {"dataclasses", "inspect"})
+
+
+FAMILIES = {f"binomring.identities.{f}"
+            for f in ("inverse_power", "power_sums", "symmetric", "poly_symmetry", "convolution")}
+
+
+@pytest.mark.parametrize("argv, wanted, unwanted", [
+    (("verify", "eq3"), {"binomring.identities.inverse_power"}, FAMILIES - {"binomring.identities.inverse_power"}),
+    (("verify", "eq31"), {"binomring.identities.convolution"},
+     {"binomring.identities.power_sums", "binomring.identities.poly_symmetry"}),
+], ids=["eq3", "eq31"])
+def test_verify_loads_one_identity_family(tmp_path, argv, wanted, unwanted):
+    loaded = loaded_by(tmp_path, *argv)
+    assert wanted <= loaded
+    assert not loaded & unwanted
+
+
+@pytest.mark.parametrize("argv", [("verify", "eq1"), ("verify", "eq3", "--q", "7")], ids=["name", "parameter"])
+def test_verify_usage_error_loads_no_family(tmp_path, argv):
+    loaded = loaded_by(tmp_path, *argv, code=2)
+    assert "binomring.identities" in loaded
+    assert not loaded & (FAMILIES | {"binomring.special", "binomring.units"})
 
 
 def test_package_import_loads_no_submodule(tmp_path):

@@ -38,6 +38,18 @@ def test_binom_pascal():
     assert binom(4, -1) == 0
 
 
+def test_binom_beyond_the_cached_rows():
+    from math import comb
+
+    from binomring import seqcore
+
+    # the row just past the bound first, so a cache that still grows fails here, before row 100000
+    assert binom(seqcore._BINOM_CACHE_MAX + 1, 7) == comb(seqcore._BINOM_CACHE_MAX + 1, 7)
+    assert len(seqcore._PASCAL_ROWS) <= seqcore._BINOM_CACHE_MAX + 1
+    assert binom(100000, 3) == comb(100000, 3)
+    assert len(seqcore._PASCAL_ROWS) <= seqcore._BINOM_CACHE_MAX + 1
+
+
 def test_named_sequences():
     assert make_named("e", 3) == seq(1, 0, 0, 0)
     assert make_named("I", 3) == seq(1, 1, 1, 1)
