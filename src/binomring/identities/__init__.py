@@ -22,6 +22,15 @@ parameter names its check reads; the check itself is the function
 looks a name up in the table, rejects any parameter the check does not
 read, and only then imports the one family module, so a process that runs a
 single check compiles and loads only that family.
+
+The checks use the ring operations rather than one product per index. The
+``symmetric`` family reads every shifted product (I x_m f)(n) from one
+Euler-Seidel table of f, O(K^2) integer additions, and reports the first
+mismatch in the order m outer, n inner; ``poly_symmetry`` writes the eq23
+and eq24 sums as two binomial products; ``inverse_power`` checks eq9 as one
+product. ``run_all`` passes at every depth: gould12's and eq13's default m
+and n shrink to fit m + n <= depth, and a default n of a 1..n range is at
+least 1.
 """
 from __future__ import annotations
 
@@ -113,10 +122,6 @@ def run_all(depth: int = DEFAULT_DEPTH) -> list[IdentityReport]:
 # ---------------------------------------------------------------------------
 # helpers
 
-def _fmt(v) -> str:
-    return str(v)
-
-
 def _scalar_params(used: dict) -> dict:
     out = {}
     for k, v in used.items():
@@ -125,17 +130,17 @@ def _scalar_params(used: dict) -> dict:
 
 
 def _verdict(name, used, depth, mismatches) -> IdentityReport:
-    """Build a report from an iterable of (index, lhs, rhs) mismatches."""
+    """Build a report from the first of an iterable of (index, lhs, rhs) mismatches; the rest are never made."""
     for idx, lhs, rhs in mismatches:
-        return IdentityReport(name, _scalar_params(used), depth, False,
-                              FirstFailure(idx, _fmt(lhs), _fmt(rhs)))
+        return IdentityReport(name, _scalar_params(used), depth, False, FirstFailure(idx, str(lhs), str(rhs)))
     return IdentityReport(name, _scalar_params(used), depth, True, None)
 
 
-def _seq_mismatches(lhs: TruncSeq, rhs: TruncSeq):
+def _seq_mismatches(lhs: TruncSeq, rhs: TruncSeq, tag=None):
+    """Entrywise mismatches, indexed k, or (tag, k) when a tag names the comparison."""
     for k in range(min(len(lhs), len(rhs))):
         if lhs[k] != rhs[k]:
-            yield k, lhs[k], rhs[k]
+            yield k if tag is None else (tag, k), lhs[k], rhs[k]
 
 
 def _rng(params: Mapping) -> random.Random:
@@ -179,7 +184,8 @@ def _get_seq(params: Mapping, key: str) -> TruncSeq | None:
 
 
 def _get_nmax(params: Mapping, default: int) -> int:
-    nmax = _get_int(params, "n", default)
+    """The top of a 1..n range; a default below 1 (at depth 0) becomes 1, an explicit n < 1 is refused."""
+    nmax = _get_int(params, "n", max(default, 1))
     if nmax < 1:
         raise ValueError("n must be >= 1")
     return nmax

@@ -19,17 +19,9 @@ def _check_prop10(params, depth):
     g1 = bullet(Iseq, g2)
 
     def mism():
-        fwd_l, fwd_r = bullet(f, g1), bullet(F, g2)
-        for k in range(depth + 1):
-            if fwd_l[k] != fwd_r[k]:
-                yield ("forward", k), fwd_l[k], fwd_r[k]
-                return
+        yield from _seq_mismatches(bullet(f, g1), bullet(F, g2), "forward")
         # converse: recover g1 from f * g1 = F * g2 and confirm it is I * g2
-        recovered = bullet(inverse(f), bullet(F, g2))
-        for k in range(depth + 1):
-            if recovered[k] != g1[k]:
-                yield ("converse", k), recovered[k], g1[k]
-                return
+        yield from _seq_mismatches(bullet(inverse(f), bullet(F, g2)), g1, "converse")
 
     return _verdict("prop10", {"seed": params.get("seed", _DEFAULT_SEED)}, depth, mism())
 
@@ -46,16 +38,8 @@ def _check_eq31(params, depth):
     F = _get_seq(params, "F") or bullet(make_named("I", depth), f)
 
     def mism():
-        pair = bullet(make_named("I", depth), g2)
-        for s in range(depth + 1):
-            if g1[s] != pair[s]:
-                yield ("pair", s), g1[s], pair[s]
-                return
-        lhs, rhs = bullet(f, g1), bullet(F, g2)
-        for s in range(depth + 1):
-            if lhs[s] != rhs[s]:
-                yield s, lhs[s], rhs[s]
-                return
+        yield from _seq_mismatches(g1, bullet(make_named("I", depth), g2), "pair")
+        yield from _seq_mismatches(bullet(f, g1), bullet(F, g2))
 
     return _verdict("eq31", {"m": m, "n": n, "seed": params.get("seed", _DEFAULT_SEED)}, depth, mism())
 
@@ -79,18 +63,10 @@ def _check_eq25_iso(params, depth):
     recip = TruncSeq(Fraction(1, factorial(k)) for k in range(depth + 1))
 
     def mism():
-        lhs = pointwise_mul(fact, cauchy(f, g))
-        rhs = bullet(pointwise_mul(fact, f), pointwise_mul(fact, g))
-        for k in range(depth + 1):
-            if lhs[k] != rhs[k]:
-                yield ("forward", k), lhs[k], rhs[k]
-                return
-        lhs2 = pointwise_mul(fact, cauchy(pointwise_mul(recip, f), pointwise_mul(recip, g)))
-        rhs2 = bullet(f, g)
-        for k in range(depth + 1):
-            if lhs2[k] != rhs2[k]:
-                yield ("reverse", k), lhs2[k], rhs2[k]
-                return
+        yield from _seq_mismatches(pointwise_mul(fact, cauchy(f, g)),
+                                   bullet(pointwise_mul(fact, f), pointwise_mul(fact, g)), "forward")
+        yield from _seq_mismatches(pointwise_mul(fact, cauchy(pointwise_mul(recip, f), pointwise_mul(recip, g))),
+                                   bullet(f, g), "reverse")
 
     return _verdict("eq25-iso", {"seed": params.get("seed", _DEFAULT_SEED)}, depth, mism())
 

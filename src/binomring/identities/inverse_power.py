@@ -5,8 +5,8 @@ from fractions import Fraction
 from math import factorial
 
 from ..poly import RatPoly
-from ..seqcore import bullet, make_named
-from ..special import bernoulli, bernoulli_poly
+from ..seqcore import TruncSeq, bullet, make_named
+from ..special import ber_inv_pow, bernoulli, bernoulli_poly
 from ..units import power_int
 from . import _get_int, _get_nmax, _get_seq, _seq_mismatches, _verdict
 
@@ -21,23 +21,10 @@ def _check_eq9(params, depth):
     n = _get_int(params, "n", 2)
     if n < 1:
         raise ValueError("n must be >= 1")
-    Bxn = power_int(bernoulli_poly(depth), n)
-
-    def mism():
-        for k in range(depth + 1):
-            total = RatPoly()
-            for m in range(k + 1):
-                for j in range(n + 1):
-                    poly = RatPoly((Fraction(j), Fraction(-n))) ** (m + n)
-                    coeff = Fraction((-1) ** (n - j),
-                                     factorial(k - m) * factorial(n - j) * factorial(m + n) * factorial(j))
-                    total = total + coeff * Bxn[k - m] * poly
-            total = factorial(n) * total
-            expect = Fraction(1 if k == 0 else 0)
-            if total != expect:
-                yield k, total, expect
-
-    return _verdict("eq9", {"n": n, "mode": "polynomial"}, depth, mism())
+    # the k-th sum of eq9 is (B(x)^n * B(x)^(-n))(k) / k!, with the inverse power in closed form
+    product = bullet(power_int(bernoulli_poly(depth), n), ber_inv_pow(n, depth))
+    totals = TruncSeq(v / factorial(k) for k, v in enumerate(product))
+    return _verdict("eq9", {"n": n, "mode": "polynomial"}, depth, _seq_mismatches(totals, make_named("e", depth)))
 
 
 def _check_eq9_k0_a(params, depth):

@@ -3,26 +3,23 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..seqcore import binom, bullet, make_eps, pointwise_mul, scale, sub
+from ..seqcore import TruncSeq, bullet, make_eps, pointwise_mul, scale, sub
 from ..special import bernoulli, bernoulli_poly_at, sigma_eval
 from ..units import power_int
 from . import _distinct_nonzero_triple, _get_int, _get_nmax, _get_rat, _rng, _seq_mismatches, _verdict
 
 
 def _abc(params, rng) -> tuple[Fraction, Fraction, Fraction]:
-    a = _get_rat(params, "a", None)
-    b = _get_rat(params, "b", None)
-    c = _get_rat(params, "c", None)
-    if a is None or b is None or c is None:
-        ra, rb, rc = _distinct_nonzero_triple(rng)
-        a = ra if a is None else a
-        b = rb if b is None else b
-        c = rc if c is None else c
-    return a, b, c
+    """a, b and c from params, any of them missing drawn at random."""
+    given = [_get_rat(params, key, None) for key in "abc"]
+    if None in given:
+        given = [s if v is None else v for v, s in zip(given, _distinct_nonzero_triple(rng))]
+    return tuple(given)
 
 
-def _eps_pt(x, depth):
-    return make_eps(Fraction(x), depth)
+def _twisted(x, f, y, g):
+    """(eps_x f) * (eps_y g): the product on each side of the Bernoulli-polynomial symmetries."""
+    return bullet(pointwise_mul(make_eps(Fraction(x), f.depth), f), pointwise_mul(make_eps(Fraction(y), g.depth), g))
 
 
 def _check_eq21(params, depth):
@@ -31,16 +28,13 @@ def _check_eq21(params, depth):
     Bc = bernoulli_poly_at(c, depth)
     Bac = bernoulli_poly_at(a + c, depth)
     Bbc = bernoulli_poly_at(b + c, depth)
-    lhs = bullet(pointwise_mul(_eps_pt(a, depth), Bc), pointwise_mul(_eps_pt(b, depth), Bac))
-    rhs = bullet(pointwise_mul(_eps_pt(b, depth), Bc), pointwise_mul(_eps_pt(a, depth), Bbc))
-    return _verdict("eq21", {"a": a, "b": b, "c": c}, depth, _seq_mismatches(lhs, rhs))
+    mism = _seq_mismatches(_twisted(a, Bc, b, Bac), _twisted(b, Bc, a, Bbc))
+    return _verdict("eq21", {"a": a, "b": b, "c": c}, depth, mism)
 
 
 def _remainder(a, b, Bc, B, K):
     """R1 - R2 at depth K, where R1 = (eps_b Bc) * (eps_a B) and R2 swaps a and b."""
-    ea, eb = _eps_pt(a, K), _eps_pt(b, K)
-    return sub(bullet(pointwise_mul(eb, Bc), pointwise_mul(ea, B)),
-               bullet(pointwise_mul(ea, Bc), pointwise_mul(eb, B)))
+    return sub(_twisted(b, Bc, a, B), _twisted(a, Bc, b, B))
 
 
 def _eq22_sides(a, b, c, depth):
@@ -52,11 +46,8 @@ def _eq22_sides(a, b, c, depth):
     """
     K = depth + 1
     Bc = bernoulli_poly_at(c, K)
-    ea, eb = _eps_pt(a, K), _eps_pt(b, K)
-    s1 = sigma_eval(a + c - 1, K)
-    s2 = sigma_eval(b + c - 1, K)
-    L1 = bullet(pointwise_mul(ea, Bc), pointwise_mul(eb, s1))
-    L2 = bullet(pointwise_mul(eb, Bc), pointwise_mul(ea, s2))
+    L1 = _twisted(a, Bc, b, sigma_eval(a + c - 1, K))
+    L2 = _twisted(b, Bc, a, sigma_eval(b + c - 1, K))
     return L1, L2, _remainder(a, b, Bc, bernoulli(K), K)
 
 
@@ -65,21 +56,28 @@ def _check_eq22(params, depth):
     a, b, c = _abc(params, rng)
     L1, L2, R = _eq22_sides(a, b, c, depth)
     printed_ok = all(b * L1[n] == a * L2[n] for n in range(depth + 1))
-
-    def mism():
-        for n in range(depth + 1):
-            lhs = b * L1[n] - a * L2[n]
-            rhs = R[n + 1] / (n + 1)
-            if lhs != rhs:
-                yield n, lhs, rhs
-
+    rhs = TruncSeq(R[n + 1] / (n + 1) for n in range(depth + 1))
     used = {"a": a, "b": b, "c": c, "printed_form_holds": printed_ok}
-    return _verdict("eq22", used, depth, mism())
+    return _verdict("eq22", used, depth, _seq_mismatches(sub(scale(b, L1), scale(a, L2)), rhs))
 
 
 # sigma_eval, bernoulli_poly_at and the remainder are prefix-consistent: entry i
 # is the same at every depth >= i. So the eq23 and eq24 terms build each of them
 # once at depth nmax + 1 and index it, rather than rebuilding it per n and i.
+
+def _weighted_sums(Bc, a, b, s1, s2, sign) -> list:
+    """Entry n: sum_{i=1}^{n} C(n,i) Bc(n-i) sign^i (a^(n-1-i) b^i s1(i) - a^i b^(n-1-i) s2(i)), n <= s1.depth.
+
+    Pointwise multiplication by eps_x is a ring endomorphism of the binomial
+    product, so the sum is a^(n-1) (Bc * eps_{sign b/a} s1)(n) minus
+    b^(n-1) (Bc * eps_{sign a/b} s2)(n), less the two i = 0 terms.
+    """
+    nmax = s1.depth
+    B = TruncSeq(Bc[:nmax + 1])
+    p1 = bullet(B, pointwise_mul(make_eps(Fraction(sign * b, a), nmax), s1))
+    p2 = bullet(B, pointwise_mul(make_eps(Fraction(sign * a, b), nmax), s2))
+    return [a ** (n - 1) * (p1[n] - B[n] * s1[0]) - b ** (n - 1) * (p2[n] - B[n] * s2[0]) for n in range(nmax + 1)]
+
 
 def _eq23_terms(a, b, c, nmax: int):
     """Yield (n, B_n(c), printed right side, corrected right side) of eq23 for n = 1..nmax."""
@@ -88,12 +86,12 @@ def _eq23_terms(a, b, c, nmax: int):
     s1 = sigma_eval(a + c - 1, nmax)
     s2 = sigma_eval(b + c - 1, nmax)
     R = _remainder(a, b, Bc, bernoulli(K), K)
+    totals = _weighted_sums(Bc, a, b, s1, s2, 1)
     for n in range(1, nmax + 1):
         den = b ** (n - 1) * (b + c) - a ** (n - 1) * (a + c)
         if den == 0:
             raise ValueError(f"eq23 precondition violated at n={n}: denominator is 0")
-        total = sum(binom(n, i) * Bc[n - i] * (a ** (n - 1 - i) * b ** i * s1[i] - a ** i * b ** (n - 1 - i) * s2[i])
-                    for i in range(1, n + 1))
+        total = totals[n]
         yield n, Bc[n], total / den, (total - R[n + 1] / ((n + 1) * a * b)) / den
 
 
@@ -104,14 +102,20 @@ def _eq24_terms(a, b, nmax: int):
     s1 = sigma_eval(a, nmax)
     s2 = sigma_eval(b, nmax)
     R = _remainder(a, b, bernoulli_poly_at(Fraction(1), K), B, K)
+    totals = _weighted_sums(B, a, b, s1, s2, -1)
     for n in range(1, nmax + 1):
         den = b ** (n - 1) * (b + 1) - a ** (n - 1) * (a + 1)
         if den == 0:
             raise ValueError(f"eq24 precondition violated at n={n}")
-        total = sum(binom(n, i) * B[n - i] * (-1) ** i
-                    * (a ** (n - 1 - i) * b ** i * s1[i] - a ** i * b ** (n - 1 - i) * s2[i])
-                    for i in range(1, n + 1))
+        total = totals[n]
         yield n, B[n], total / den, (total - (-1) ** n * R[n + 1] / ((n + 1) * a * b)) / den
+
+
+def _nonzero(**values):
+    """Refuse a zero a or b, which the eq23 and eq24 sides divide by."""
+    for key, v in values.items():
+        if v == 0:
+            raise ValueError(f"{key} must be nonzero")
 
 
 def _sample_eq23_triple(rng, nmax, force_c=None):
@@ -119,8 +123,7 @@ def _sample_eq23_triple(rng, nmax, force_c=None):
         a, b, c = _distinct_nonzero_triple(rng)
         if force_c is not None:
             c = force_c
-        ok = all(b ** (n - 1) * (b + c) - a ** (n - 1) * (a + c) != 0 for n in range(1, nmax + 1))
-        if ok:
+        if all(b ** (n - 1) * (b + c) - a ** (n - 1) * (a + c) != 0 for n in range(1, nmax + 1)):
             return a, b, c
 
 
@@ -135,14 +138,13 @@ def _check_eq23(params, depth):
     rng = _rng(params)
     nmax = _get_nmax(params, depth)
     if all(k in params for k in ("a", "b", "c")):
-        a = _get_rat(params, "a", None)
-        b = _get_rat(params, "b", None)
-        c = _get_rat(params, "c", None)
+        a, b, c = (_get_rat(params, key, None) for key in "abc")
         for n in range(1, nmax + 1):
             if b ** (n - 1) * (b + c) - a ** (n - 1) * (a + c) == 0:
                 raise ValueError(f"eq23 precondition violated at n={n}")
     else:
         a, b, c = _sample_eq23_triple(rng, nmax)
+    _nonzero(a=a, b=b)
     return _corrected_verdict("eq23", {"a": a, "b": b, "c": c, "n": nmax}, depth,
                               _eq23_terms(a, b, c, nmax))
 
@@ -154,6 +156,7 @@ def _check_tuenter(params, depth):
     b = _get_rat(params, "b", None)
     if a is None or b is None:
         a, b, _ = _sample_eq23_triple(rng, nmax, force_c=Fraction(0))
+    _nonzero(a=a, b=b)
     # the printed form, which needs no correction at c = 0
     terms = _eq23_terms(a, b, Fraction(0), nmax)
     return _verdict("tuenter", {"a": a, "b": b, "n": nmax}, depth,
@@ -167,6 +170,7 @@ def _check_eq24(params, depth):
     b = _get_rat(params, "b", None)
     if a is None or b is None:
         a, b, _ = _sample_eq23_triple(rng, nmax, force_c=Fraction(1))
+    _nonzero(a=a, b=b)
     return _corrected_verdict("eq24", {"a": a, "b": b, "n": nmax}, depth, _eq24_terms(a, b, nmax))
 
 
@@ -183,22 +187,13 @@ def _check_cor9(params, depth):
         Bc = power_int(bernoulli_poly_at(c, K), r)
         Bac = power_int(bernoulli_poly_at(a + c, K), r)
         Bbc = power_int(bernoulli_poly_at(b + c, K), r)
-        lhs = bullet(pointwise_mul(_eps_pt(a, K), Bc), pointwise_mul(_eps_pt(b, K), Bac))
-        rhs = bullet(pointwise_mul(_eps_pt(b, K), Bc), pointwise_mul(_eps_pt(a, K), Bbc))
-        for n in range(K + 1):
-            if lhs[n] != rhs[n]:
-                yield ("power-symmetry", n), lhs[n], rhs[n]
-                return
+        yield from _seq_mismatches(_twisted(a, Bc, b, Bac), _twisted(b, Bc, a, Bbc), "power-symmetry")
         # second display: sigma-weighted power symmetry; exact at c = 0
         B0 = power_int(bernoulli_poly_at(Fraction(0), K), r)
         s1 = power_int(sigma_eval(a - 1, K), r)
         s2 = power_int(sigma_eval(b - 1, K), r)
-        lhs2 = scale(b ** r, bullet(pointwise_mul(_eps_pt(a, K), B0), pointwise_mul(_eps_pt(b, K), s1)))
-        rhs2 = scale(a ** r, bullet(pointwise_mul(_eps_pt(b, K), B0), pointwise_mul(_eps_pt(a, K), s2)))
-        for n in range(K + 1):
-            if lhs2[n] != rhs2[n]:
-                yield ("sigma-power", n), lhs2[n], rhs2[n]
-                return
+        yield from _seq_mismatches(scale(b ** r, _twisted(a, B0, b, s1)), scale(a ** r, _twisted(b, B0, a, s2)),
+                                   "sigma-power")
 
     used = {"r": r, "a": a, "b": b, "c": c, "sigma_display_at": "c=0"}
     return _verdict("cor9", used, depth, mism())

@@ -3,9 +3,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..poly import X
-from ..seqcore import TruncSeq, binom, bullet, make_eps, make_named, pointwise_mul
-from ..special import bernoulli, faulhaber, power_sum_bruteforce, power_sum_poly
+from ..seqcore import TruncSeq, bullet, make_eps, make_named, pointwise_mul
+from ..special import _appell, bernoulli, faulhaber, power_sum_bruteforce, power_sum_poly
 from . import _get_int, _get_seq, _seq_mismatches, _verdict
 
 
@@ -15,15 +14,10 @@ def _check_faulhaber(params, depth):
     if B is None:
         computed = faulhaber(n, depth)
     else:
-        # formula evaluated against an injected (possibly corrupted) Bernoulli sequence
-        vals = []
-        for k in range(depth + 1):
-            total = Fraction(0)
-            for m in range(k + 1):
-                e = k + 1 - m
-                total += binom(k, m) * B[m] * Fraction((n + 1) ** e - 1, e)
-            vals.append(total)
-        computed = TruncSeq(vals)
+        # Faulhaber's sum_m C(k,m) B(m) ((n+1)^(k+1-m) - 1)/(k+1-m) against an injected (possibly
+        # corrupted) Bernoulli sequence: the product B * h with h(j) = ((n+1)^(j+1) - 1)/(j+1)
+        h = TruncSeq(Fraction((n + 1) ** (j + 1) - 1, j + 1) for j in range(depth + 1))
+        computed = bullet(TruncSeq(B[k] for k in range(depth + 1)), h)
     oracle = TruncSeq(power_sum_bruteforce(n, k) for k in range(depth + 1))
     return _verdict("faulhaber", {"n": n}, depth, _seq_mismatches(computed, oracle))
 
@@ -31,14 +25,10 @@ def _check_faulhaber(params, depth):
 def _check_powersum_sigma_form(params, depth):
     lhs = power_sum_poly(depth)
     B = bernoulli(depth + 1)
-    Bx1 = bullet(B, make_eps(X + 1, depth + 1))
+    # B_k(x + 1) = (B * eps_{x+1})(k) = ((B * eps_1) * eps_x)(k): the Appell sequence of B * eps_1
+    Bx1 = _appell(bullet(B, make_eps(1, depth + 1)))
     # Bernoulli polynomials at 1 are the sign-twisted numbers
     B1 = pointwise_mul(make_named("nu", depth + 1), B)
 
-    def mism():
-        for k in range(depth + 1):
-            rhs = (Bx1[k + 1] - B1[k + 1]) / (k + 1)
-            if lhs[k] != rhs:
-                yield k, lhs[k], rhs
-
-    return _verdict("powersum-sigma-form", {"mode": "polynomial"}, depth, mism())
+    rhs = TruncSeq((Bx1[k + 1] - B1[k + 1]) / (k + 1) for k in range(depth + 1))
+    return _verdict("powersum-sigma-form", {"mode": "polynomial"}, depth, _seq_mismatches(lhs, rhs))

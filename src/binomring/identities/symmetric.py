@@ -1,11 +1,86 @@
-"""Symmetric identities: carlitz, gould12, eq13, Theorem 5 both ways, eq15-eq20."""
+"""Symmetric identities: carlitz, gould12, eq13, Theorem 5 both ways, eq15-eq20.
+
+The shifted products these identities are stated in, (I x_m f)(n) =
+sum_i C(n,i) f(m+i), form the Euler-Seidel table of f (Seidel 1877; Dumont,
+"Matrices d'Euler-Seidel", Sem. Lothar. Combin. B05c, 1981): each entry is
+the sum of the entry above it and the one above and to the right, so the
+whole table for m + n <= K costs O(K^2) integer additions over one common
+denominator instead of one O(K^2) product per (m, n). With a minus sign the
+same recurrence gives the finite-difference table, which is the nu-product
+(nu x_n g)(m) up to the sign (-1)^(m+n). eq13, Theorem 5 both ways, eq19 and
+eq20 read both sides of every (m, n) from these tables and report the first
+mismatch in the order m = 0, 1, .. outer and n = 0, 1, .. inner, building a
+Fraction only for the mismatch.
+"""
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
-from ..seqcore import TruncSeq, add, binom, bullet, deviation, make_named, psi_product, scale
+from ..errors import DepthMismatchError
+from ..seqcore import TruncSeq, _over_common, _rational, add, binom, bullet, deviation, make_named, scale
 from ..special import bernoulli, euler1
 from . import _DEFAULT_SEED, _get_int, _get_seq, _rng, _seq_mismatches, _verdict, random_rational, random_unit
+
+
+def _seidel(values, op=operator.add) -> list[list]:
+    """Euler-Seidel table: row n, entry m is sum_i C(n,i) s^i values[m+i], s = 1 for add and -1 for sub.
+
+    Row n is op(row n-1 at m, row n-1 at m+1), so row n has len(values) - n entries.
+    """
+    rows = [list(values)]
+    for _ in range(1, len(values)):
+        prev = rows[-1]
+        rows.append(list(map(op, prev, prev[1:])))
+    return rows
+
+
+def _numerators(*seqs) -> tuple[list[list], int]:
+    """The entries of equally deep seqs over one denominator: integer numerators when all are Fractions.
+
+    Other ring values come back as they are, over 1.
+    """
+    values = [v for s in seqs for v in s]
+    nums, den = _over_common(values) if _rational(values) else (values, 1)
+    size = len(seqs[0])
+    return [nums[i:i + size] for i in range(0, len(nums), size)], den
+
+
+def _value(x, den):
+    """The ring value of a numerator x over den, as built by _numerators."""
+    return Fraction(x, den) if isinstance(x, int) else x
+
+
+def _pair_mismatches(depth, den, sides):
+    """((m, n), lhs, rhs) where the numerators sides(m, n) over den differ, for m + n <= depth, m outer."""
+    for m in range(depth + 1):
+        for n in range(depth + 1 - m):
+            lhs, rhs = sides(m, n)
+            if lhs != rhs:
+                yield (m, n), _value(lhs, den), _value(rhs, den)
+
+
+def _mn(params, depth, m_default, n_default) -> tuple[int, int]:
+    """m and n for a single (m, n) check; a default shrinks, never below 0, until m + n <= depth."""
+    m = _get_int(params, "m", m_default)
+    n = _get_int(params, "n", n_default)
+    if "n" not in params:
+        n = max(0, min(n, depth - m))
+    if "m" not in params:
+        m = max(0, min(m, depth - n))
+    if m < 0 or n < 0:
+        raise ValueError("m and n must be >= 0")
+    if m + n > depth:
+        raise ValueError("need depth >= m + n")
+    return m, n
+
+
+def _table_input(params, depth) -> TruncSeq:
+    """The f override, or a seeded random unit; the tables are read up to depth, so f must be that deep."""
+    f = _get_seq(params, "f") or random_unit(_rng(params), depth)
+    if f.depth != depth:
+        raise DepthMismatchError(f"f has depth {f.depth} but the check runs at depth {depth}")
+    return f
 
 
 def _check_carlitz(params, depth):
@@ -21,12 +96,7 @@ def _check_carlitz(params, depth):
 
 
 def _check_gould12(params, depth):
-    m = _get_int(params, "m", 2)
-    n = _get_int(params, "n", 3)
-    if m < 0 or n < 0:
-        raise ValueError("m and n must be >= 0")
-    if m + n > depth:
-        raise ValueError("need depth >= m + n")
+    m, n = _mn(params, depth, 2, 3)
     rng = _rng(params)
     f = _get_seq(params, "f") or random_unit(rng, depth)
     F = _get_seq(params, "F") or bullet(make_named("I", depth), f)
@@ -37,16 +107,14 @@ def _check_gould12(params, depth):
 
 
 def _check_eq13(params, depth):
-    m = _get_int(params, "m", 1)
-    n = _get_int(params, "n", 2)
-    if m + n > depth:
-        raise ValueError("need depth >= m + n")
-    rng = _rng(params)
-    f = _get_seq(params, "f") or random_unit(rng, depth)
+    # (I x_m f)(n) = (-1)^n (nu x_n F)(m) with F = I * f
+    m, n = _mn(params, depth, 1, 2)
+    f = _table_input(params, depth)
     F = bullet(make_named("I", depth), f)
-    lhs = psi_product(make_named("I", depth), f, m)[n]
-    rhs = Fraction(-1) ** n * psi_product(make_named("nu", depth), F, n)[m]
-    mism = [((m, n), lhs, rhs)] if lhs != rhs else []
+    (a, b), den = _numerators(f, F)
+    lhs = _seidel(a[:m + n + 1])[n][m]
+    rhs = (-1) ** m * _seidel(b[:m + n + 1], operator.sub)[m][n]
+    mism = [((m, n), _value(lhs, den), _value(rhs, den))] if lhs != rhs else []
     return _verdict("eq13", {"m": m, "n": n, "seed": params.get("seed", _DEFAULT_SEED)}, depth, mism)
 
 
@@ -72,19 +140,11 @@ def _check_thm5_forward(params, depth):
     used = {"seed": params.get("seed", _DEFAULT_SEED)}
 
     def mism():
-        dev = deviation(f)
-        for k in range(depth + 1):
-            if dev[k] != 0:
-                yield ("deviation", k), dev[k], Fraction(0)
-                return
-        Iseq = make_named("I", depth)
-        for m in range(depth + 1):
-            for n in range(depth + 1 - m):
-                lhs = Fraction(-1) ** n * psi_product(Iseq, f, m)[n]
-                rhs = Fraction(-1) ** m * psi_product(Iseq, f, n)[m]
-                if lhs != rhs:
-                    yield (m, n), lhs, rhs
-                    return
+        yield from _seq_mismatches(deviation(f), TruncSeq([0] * (depth + 1)), "deviation")
+        (a,), den = _numerators(f)
+        T = _seidel(a)
+        # (-1)^n (I x_m f)(n) against (-1)^m (I x_n f)(m)
+        yield from _pair_mismatches(depth, den, lambda m, n: ((-1) ** n * T[n][m], (-1) ** m * T[m][n]))
 
     return _verdict("thm5-forward", used, depth, mism())
 
@@ -93,34 +153,31 @@ def _check_thm5_converse(params, depth):
     # the m = 0 instance of the symmetric identity is exactly the deviation:
     # (-1)^n (I x_0 f)(n) - (I x_n f)(0) = nu(n) (I*f - nu f)(n), so the
     # symmetric identity at m = 0 already forces I * f = nu f.
-    rng = _rng(params)
-    f = _get_seq(params, "f") or random_unit(rng, depth)
-    Iseq = make_named("I", depth)
-    dev = deviation(f)
+    f = _table_input(params, depth)
+    (a, d), den = _numerators(f, deviation(f))
+    T = _seidel(a)
 
     def mism():
         for n in range(depth + 1):
-            residual = Fraction(-1) ** n * psi_product(Iseq, f, 0)[n] - psi_product(Iseq, f, n)[0]
-            expected = Fraction(-1) ** n * dev[n]
+            residual = (-1) ** n * T[n][0] - T[0][n]
+            expected = (-1) ** n * d[n]
             if residual != expected:
-                yield n, residual, expected
+                yield n, _value(residual, den), _value(expected, den)
 
     return _verdict("thm5-converse", {"seed": params.get("seed", _DEFAULT_SEED)}, depth, mism())
 
 
+def _parity(f: TruncSeq, r: int, depth: int) -> TruncSeq:
+    """f(0..depth) on the indices k = r mod 2, zero elsewhere."""
+    return TruncSeq(f[k] if k % 2 == r else 0 for k in range(depth + 1))
+
+
 def _check_eq15(params, depth):
+    # f(2k+1) = -sum_i C(2k+1, 2i+1) E1(2i+1) f(2k-2i), the odd entries of -(E1 odd) * (f even)
     f = _get_seq(params, "f") or bernoulli(depth)
     E1 = _get_seq(params, "euler1") or euler1(depth)
-
-    def mism():
-        for k in range((depth - 1) // 2 + 1):
-            lhs = f[2 * k + 1]
-            rhs = -sum(binom(2 * k + 1, 2 * i + 1) * E1[2 * i + 1] * f[2 * (k - i)]
-                       for i in range(k + 1))
-            if lhs != rhs:
-                yield 2 * k + 1, lhs, rhs
-
-    return _verdict("eq15", {}, depth, mism())
+    rhs = bullet(_parity(E1, 1, depth), _parity(f, 0, depth))
+    return _verdict("eq15", {}, depth, ((k, f[k], -rhs[k]) for k in range(1, depth + 1, 2) if f[k] != -rhs[k]))
 
 
 def _check_eq16(params, depth):
@@ -131,58 +188,33 @@ def _check_eq16(params, depth):
 
 
 def _check_eq18(params, depth):
+    # f(2k) = -2/(2k+1) sum_i C(2k+1, 2i+1) B(2k-2i) f(2i+1), from entry 2k+1 of (B even) * (f odd)
     f = _get_seq(params, "f") or bernoulli(depth)
-    B = bernoulli(depth)
+    P = bullet(_parity(bernoulli(depth), 0, depth), _parity(f, 1, depth))
 
     def mism():
-        for k in range(1, (depth - 1) // 2 + 1):
-            lhs = f[2 * k]
-            rhs = -Fraction(2, 2 * k + 1) * sum(
-                binom(2 * k + 1, 2 * i + 1) * B[2 * (k - i)] * f[2 * i + 1] for i in range(k + 1)
-            )
-            if lhs != rhs:
-                yield 2 * k, lhs, rhs
+        for k in range(2, depth, 2):
+            rhs = -Fraction(2, k + 1) * P[k + 1]
+            if f[k] != rhs:
+                yield k, f[k], rhs
 
     return _verdict("eq18", {}, depth, mism())
 
 
 def _check_eq19(params, depth):
-    rng = _rng(params)
-    f = _get_seq(params, "f") or random_unit(rng, depth)
-    Iseq = make_named("I", depth)
-    nus = make_named("nu", depth)
-    dev = deviation(f)
-
-    def mism():
-        for m in range(depth + 1):
-            for n in range(depth + 1 - m):
-                lhs = (Fraction(-1) ** n * psi_product(Iseq, f, m)[n]
-                       - Fraction(-1) ** m * psi_product(Iseq, f, n)[m])
-                rhs = psi_product(nus, dev, n)[m]
-                if lhs != rhs:
-                    yield (m, n), lhs, rhs
-                    return
-
-    return _verdict("eq19", {"seed": params.get("seed", _DEFAULT_SEED)}, depth, mism())
+    # (-1)^n (I x_m f)(n) - (-1)^m (I x_n f)(m) = (nu x_n dev)(m), dev = I * f - nu f
+    f = _table_input(params, depth)
+    (a, d), den = _numerators(f, deviation(f))
+    T, D = _seidel(a), _seidel(d, operator.sub)
+    mism = _pair_mismatches(depth, den, lambda m, n: ((-1) ** n * T[n][m] - (-1) ** m * T[m][n],
+                                                      (-1) ** (m + n) * D[m][n]))
+    return _verdict("eq19", {"seed": params.get("seed", _DEFAULT_SEED)}, depth, mism)
 
 
 def _check_eq20(params, depth):
-    E1 = euler1(depth)
-    Iseq = make_named("I", depth)
-
-    def e(j):
-        return Fraction(1 if j == 0 else 0)
-
-    def nu(j):
-        return Fraction(-1) ** j
-
-    def mism():
-        for m in range(depth + 1):
-            for n in range(depth + 1 - m):
-                lhs = (nu(n) * psi_product(Iseq, E1, m)[n] - nu(m) * psi_product(Iseq, E1, n)[m])
-                rhs = 2 * (nu(n) * e(m) - nu(m) * e(n))
-                if lhs != rhs:
-                    yield (m, n), lhs, rhs
-                    return
-
-    return _verdict("eq20", {}, depth, mism())
+    # nu(n) (I x_m E1)(n) - nu(m) (I x_n E1)(m) = 2 (nu(n) e(m) - nu(m) e(n))
+    (a,), den = _numerators(euler1(depth))
+    T = _seidel(a)
+    mism = _pair_mismatches(depth, den, lambda m, n: ((-1) ** n * T[n][m] - (-1) ** m * T[m][n],
+                                                      2 * den * ((-1) ** n * (m == 0) - (-1) ** m * (n == 0))))
+    return _verdict("eq20", {}, depth, mism)

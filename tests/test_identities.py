@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from binomring import identities
+from binomring.errors import DepthMismatchError
 from binomring.identities import IdentityReport, check, registered_names, run_all
 from binomring.identities.poly_symmetry import _eq23_terms, _eq24_terms
 from binomring.identities.symmetric import build_symmetric_function
@@ -32,6 +33,47 @@ def test_registry_is_complete():
 def test_all_defaults_pass_depth_12():
     for report in run_all(depth=12):
         assert report.passed, (report.name, report.first_failure)
+
+
+@pytest.mark.parametrize("depth", range(17))
+def test_run_all_passes_every_name_at_small_depths(depth):
+    reports = run_all(depth)
+    assert [r.name for r in reports] == registered_names()
+    assert all(r.passed for r in reports), [(r.name, r.first_failure) for r in reports if not r.passed]
+
+
+@pytest.mark.parametrize("name, depth, m, n", [
+    ("gould12", 5, "2", "3"), ("gould12", 4, "2", "2"), ("gould12", 3, "2", "1"), ("gould12", 1, "1", "0"),
+    ("gould12", 0, "0", "0"), ("eq13", 3, "1", "2"), ("eq13", 2, "1", "1"), ("eq13", 1, "1", "0"),
+])
+def test_default_m_n_shrink_to_the_depth(name, depth, m, n):
+    r = check(name, {}, depth)
+    assert r.passed and (r.params["m"], r.params["n"]) == (m, n)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("gould12", {"m": 3, "n": 3}), ("eq13", {"m": 4, "n": 1}), ("gould12", {"m": 6}), ("eq13", {"n": 5}),
+])
+def test_explicit_m_n_beyond_the_depth_are_refused(name, params):
+    with pytest.raises(ValueError, match="need depth >= m"):
+        check(name, params, 4)
+
+
+@pytest.mark.parametrize("name", ["eq13", "thm5-converse", "eq19"])
+@pytest.mark.parametrize("f_depth", [5, 20])
+def test_table_checks_refuse_an_f_of_another_depth(name, f_depth):
+    with pytest.raises(DepthMismatchError):
+        check(name, {"f": bernoulli(f_depth)}, 12)
+
+
+@pytest.mark.parametrize("name, params, key", [
+    ("eq23", {"a": 0, "b": 1, "c": 1}, "a"), ("eq23", {"a": 1, "b": 0, "c": 1}, "b"),
+    ("eq24", {"a": 0, "b": F(2)}, "a"), ("eq24", {"a": F(3), "b": 0}, "b"),
+    ("tuenter", {"a": 0, "b": F(5, 2)}, "a"), ("tuenter", {"a": F(2), "b": 0}, "b"),
+])
+def test_eq23_family_refuses_zero_a_or_b(name, params, key):
+    with pytest.raises(ValueError, match=f"^{key} must be nonzero$"):
+        check(name, params, 6)
 
 
 FAMILIES = ("inverse_power", "power_sums", "symmetric", "poly_symmetry", "convolution")
