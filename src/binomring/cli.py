@@ -5,34 +5,32 @@ operation to sequence files), verify (run a named identity check), table1
 (compare computed Bernoulli roots against the published reference table),
 oeis-compare (diff a sequence against a local OEIS b-file).
 
+Three tables drive the command line. COMMANDS maps each command to its
+handler, positionals, the flags it reads and its default depth; GENERATORS
+and OPERATIONS map each gen and op name to its builder and the flags that
+builder reads. getopt.gnu_getopt parses only the chosen command's flags, so
+a flag that the command, its generator or operation, or the identity check
+does not read is a usage error, never dropped. -h/--help prints usage built
+from the tables. No library module loads before the command line is accepted.
+
 Exit codes: 0 success/pass, 1 identity or comparison failure, 2 usage
 error, 3 mathematical domain error (non-unit input, unrepresentable root,
 depth mismatch). TOOL_MAX_DEPTH (default 256) caps --depth; a value that
-is not an integer >= 0 is a usage error. table1 also refuses a --depth
-beyond the published table's 8.
+is not an integer >= 0 is a usage error.
 """
 from __future__ import annotations
 
-import argparse
+import getopt
 import os
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from . import jsonio
+import binomring as lib  # each name it exports loads its module on first use
+
 from .errors import DomainError
-from .poly import RatPoly
 
 if TYPE_CHECKING:
     from .seqcore import TruncSeq
-
-# Each command imports the modules it runs, so a process loads no more than its command needs.
-
-GENERATORS = ("e", "I", "nu", "eps", "xi1", "xi", "bernoulli", "bernoulli-poly",
-              "euler1", "euler-poly", "norlund", "faulhaber", "mobius-bernoulli", "sigma")
-
-OPERATIONS = ("bullet", "cauchy", "invert", "root", "pow", "transform", "invert-transform",
-              "decompose")
 
 
 class UsageError(Exception):
@@ -47,7 +45,57 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _max_depth() -> int:
+# flag -> its value as usage shows it: K or INT is an integer, NUM[/DEN] a rational, a|b one of the choices
+FLAGS = {"depth": "K", "format": "json|csv|bfile", "output": "FILE", "transform": "numerator|denominator",
+         "p": "INT", "q": "INT", "m": "INT", "n": "INT", "k": "INT", "x": "NUM[/DEN]"}
+
+# generator -> (its sequence from the flags o at depth K, the flags it reads)
+GENERATORS = {
+    "e": (lambda o, K: lib.make_named("e", K), ""),
+    "I": (lambda o, K: lib.make_named("I", K), ""),
+    "nu": (lambda o, K: lib.make_named("nu", K), ""),
+    "eps": (lambda o, K: lib.make_eps(o["x"], K), "x"),
+    "xi1": (lambda o, K: lib.make_named("xi1", K), ""),
+    "xi": (lambda o, K: lib.make_xi(o["x"], o["m"], K), "x m"),
+    "bernoulli": (lambda o, K: lib.bernoulli(K), ""),
+    "bernoulli-poly": (lambda o, K: lib.bernoulli_poly(K), ""),
+    "euler1": (lambda o, K: lib.euler1(K), ""),
+    "euler-poly": (lambda o, K: lib.euler_poly(K), ""),
+    "norlund": (lambda o, K: lib.norlund(o["p"], o["q"], K), "p q"),
+    "faulhaber": (lambda o, K: lib.faulhaber(o["n"], K), "n"),
+    "mobius-bernoulli": (lambda o, K: lib.mobius_bernoulli(o["n"], K), "n"),
+    "sigma": (lambda o, K: lib.sigma(K), ""),
+}
+
+# operation -> (its result from the flags o and the input sequences, the flags it reads); decompose
+# writes three sequences as one JSON object, so it reads no --format
+OPERATIONS = {
+    "bullet": (lambda o, f, g: lib.bullet(f, g), "format"),
+    "cauchy": (lambda o, f, g: lib.cauchy(f, g), "format"),
+    "invert": (lambda o, f: lib.inverse(f), "format"),
+    "root": (lambda o, f: lib.mth_root(f, o["m"]), "format m"),
+    "pow": (lambda o, f: lib.power_rat(f, o["p"], o.get("q", 1)), "format p q"),
+    "transform": (lambda o, f: lib.binomial_transform(f), "format"),
+    "invert-transform": (lambda o, f: lib.binomial_invert(f), "format"),
+    "decompose": (lambda o, f: lib.decompose(f), ""),
+}
+
+
+class _Opts(dict):
+    """The flags given, by name. ``in`` tells whether a flag was given; reading --depth when it was not
+    gives the command's default depth, and reading any other flag not given is a usage error."""
+
+    def __init__(self, depth):
+        super().__init__()
+        self.depth = depth
+
+    def __missing__(self, flag):
+        if flag == "depth":
+            return self.depth
+        raise UsageError(f"--{flag} is required here")
+
+
+def _check_depth(depth: int) -> int:
     raw = os.environ.get("TOOL_MAX_DEPTH", "256")
     try:
         cap = int(raw)
@@ -55,11 +103,6 @@ def _max_depth() -> int:
         cap = -1
     if cap < 0:
         raise UsageError(f"TOOL_MAX_DEPTH must be an integer >= 0, got {raw!r}")
-    return cap
-
-
-def _check_depth(depth: int) -> int:
-    cap = _max_depth()
     if depth < 0:
         raise UsageError("depth must be >= 0")
     if depth > cap:
@@ -67,61 +110,59 @@ def _check_depth(depth: int) -> int:
     return depth
 
 
-def _parse_rat(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad rational {text!r}: {exc}") from None
+def _value(flag: str, text: str):
+    """The value of --flag from its text, checked against the kind FLAGS gives it."""
+    kind = FLAGS[flag]
+    if kind in ("K", "INT"):
+        try:
+            return int(text)
+        except ValueError:
+            raise UsageError(f"--{flag} needs an integer, got {text!r}") from None
+    if kind == "NUM[/DEN]":
+        from fractions import Fraction
+
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"bad rational {text!r}: {exc}") from None
+    if "|" in kind and text not in kind.split("|"):
+        raise UsageError(f"--{flag} must be one of {kind.replace('|', ', ')}, got {text!r}")
+    return text
 
 
-def _require(args, flag: str):
-    v = getattr(args, flag, None)
-    if v is None:
-        raise UsageError(f"--{flag} is required here")
-    return v
-
-
-def _emit(args, text: str) -> None:
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
+def _emit(opts, text: str) -> None:
+    if "output" not in opts:
         print(text)
+        return
+    try:
+        with open(opts["output"], "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write {opts['output']}: {exc}") from None
 
 
-def _seq_to_csv(seq: TruncSeq) -> str:
-    lines = ["k,numerator,denominator"]
-    poly = any(isinstance(v, RatPoly) for v in seq)
-    if poly:
-        lines = ["k,poly"]
-        for k, v in enumerate(seq):
-            coeffs = v.coeffs if isinstance(v, RatPoly) else (v,)
-            lines.append(f"{k},{' '.join(str(c) for c in coeffs)}")
-    else:
-        for k, v in enumerate(seq):
-            lines.append(f"{k},{v.numerator},{v.denominator}")
-    return "\n".join(lines)
+def _serialize(opts, name: str, seq: TruncSeq) -> str:
+    from . import jsonio
+    from .poly import RatPoly
 
-
-def _seq_to_bfile(seq: TruncSeq) -> str:
-    lines = []
-    for k, v in enumerate(seq):
-        if isinstance(v, RatPoly):
-            raise UsageError("bfile format supports only rational-valued sequences")
-        lines.append(f"{k} {v.numerator}" if v.denominator == 1 else f"{k} {v.numerator}/{v.denominator}")
-    return "\n".join(lines)
-
-
-def _serialize(args, name: str, seq: TruncSeq) -> str:
-    if args.format == "json":
+    fmt = opts.get("format", "json")
+    if fmt == "json":
         return jsonio.dumps_canonical(jsonio.seq_to_obj(name, seq))
-    if args.format == "csv":
-        return _seq_to_csv(seq)
-    return _seq_to_bfile(seq)
+    poly = any(isinstance(v, RatPoly) for v in seq)
+    if fmt == "bfile":
+        if poly:
+            raise UsageError("bfile format supports only rational-valued sequences")
+        return "\n".join(f"{k} {v}" for k, v in enumerate(seq))
+    if poly:
+        return "\n".join(["k,poly"] + [f"{k},{' '.join(map(str, v.coeffs if isinstance(v, RatPoly) else (v,)))}"
+                                       for k, v in enumerate(seq)])
+    return "\n".join(["k,numerator,denominator"] + [f"{k},{v.numerator},{v.denominator}" for k, v in enumerate(seq)])
 
 
 def _load_seq(path: str) -> tuple[str, TruncSeq]:
     import json
+
+    from . import jsonio
 
     if path == "-":
         text = sys.stdin.read()
@@ -137,212 +178,162 @@ def _load_seq(path: str) -> tuple[str, TruncSeq]:
         raise UsageError(f"{path}: {exc}") from None
 
 
-def cmd_gen(args) -> int:
-    name = args.name
-    if name not in GENERATORS:
-        raise UsageError(f"unknown generator {name!r}; choose from {', '.join(GENERATORS)}")
-    depth = _check_depth(args.depth)
-    from . import special
-    from .seqcore import make_eps, make_named, make_xi
-
-    if name in ("e", "I", "nu", "xi1"):
-        seq = make_named(name, depth)
-    elif name == "eps":
-        seq = make_eps(_parse_rat(_require(args, "x")), depth)
-    elif name == "xi":
-        seq = make_xi(_parse_rat(_require(args, "x")), int(_require(args, "m")), depth)
-    elif name == "bernoulli":
-        seq = special.bernoulli(depth)
-    elif name == "bernoulli-poly":
-        seq = special.bernoulli_poly(depth)
-    elif name == "euler1":
-        seq = special.euler1(depth)
-    elif name == "euler-poly":
-        seq = special.euler_poly(depth)
-    elif name == "norlund":
-        seq = special.norlund(int(_require(args, "p")), int(_require(args, "q")), depth)
-    elif name == "faulhaber":
-        seq = special.faulhaber(int(_require(args, "n")), depth)
-    elif name == "mobius-bernoulli":
-        seq = special.mobius_bernoulli(int(_require(args, "n")), depth)
-    else:
-        seq = special.sigma(depth)
-    _emit(args, _serialize(args, name, seq))
+def cmd_gen(opts, name) -> int:
+    depth = _check_depth(opts["depth"])
+    _emit(opts, _serialize(opts, name, GENERATORS[name][0](opts, depth)))
     return 0
 
 
-def cmd_op(args) -> int:
-    op = args.operation
-    if op not in OPERATIONS:
-        raise UsageError(f"unknown operation {op!r}; choose from {', '.join(OPERATIONS)}")
-    files = args.files or ["-"]
+def cmd_op(opts, op, *files) -> int:
+    files = files or ("-",)
     binary = op in ("bullet", "cauchy")
-    if binary and len(files) != 2:
-        raise UsageError(f"{op} needs exactly two input files")
-    if not binary and len(files) != 1:
-        raise UsageError(f"{op} needs exactly one input file")
-    from .seqcore import binomial_invert, binomial_transform, bullet, cauchy
-    from .units import decompose, inverse, mth_root, power_rat
+    if len(files) != 1 + binary:
+        raise UsageError(f"{op} needs exactly {'two input files' if binary else 'one input file'}")
+    loaded = [_load_seq(path) for path in files]
+    name = loaded[0][0]
+    result = OPERATIONS[op][0](opts, *(seq for _, seq in loaded))
+    if op == "decompose":
+        from . import jsonio
 
-    name, seq = _load_seq(files[0])
-    if binary:
-        _, other = _load_seq(files[1])
-        result = bullet(seq, other) if op == "bullet" else cauchy(seq, other)
-    elif op == "invert":
-        result = inverse(seq)
-    elif op == "root":
-        result = mth_root(seq, int(_require(args, "m")))
-    elif op == "pow":
-        result = power_rat(seq, int(_require(args, "p")), int(args.q) if args.q is not None else 1)
-    elif op == "transform":
-        result = binomial_transform(seq)
-    elif op == "invert-transform":
-        result = binomial_invert(seq)
+        _emit(opts, jsonio.dumps_canonical({k: jsonio.seq_to_obj(name, getattr(result, k)) for k in "vwc"}))
     else:
-        parts = decompose(seq)
-        obj = {
-            "v": jsonio.seq_to_obj(name, parts.v),
-            "w": jsonio.seq_to_obj(name, parts.w),
-            "c": jsonio.seq_to_obj(name, parts.c),
-        }
-        _emit(args, jsonio.dumps_canonical(obj))
-        return 0
-    _emit(args, _serialize(args, name, result))
+        _emit(opts, _serialize(opts, name, result))
     return 0
 
 
-def cmd_verify(args) -> int:
-    params = {}
-    for key in ("m", "n", "k", "p", "q"):
-        v = getattr(args, key, None)
-        if v is not None:
-            params[key] = v
-    if args.x is not None:
-        params["x"] = _parse_rat(args.x)
-    depth = _check_depth(args.depth)
-    from . import identities
+def cmd_verify(opts, name) -> int:
+    params = {key: opts[key] for key in ("m", "n", "k", "p", "q", "x") if key in opts}
+    depth = _check_depth(opts["depth"])
+    from . import identities, jsonio
 
     try:
-        report = identities.check(args.name, params, depth)
+        if "depth" in opts and not identities.reads_depth(name):
+            raise UsageError(f"verify {name} does not read --depth: it compares the same values at every depth")
+        report = identities.check(name, params, depth)
     except KeyError as exc:
         raise UsageError(str(exc)) from None
-    _emit(args, jsonio.dumps_canonical(jsonio.report_to_obj(report)))
+    _emit(opts, jsonio.dumps_canonical(jsonio.report_to_obj(report)))
     return 0 if report.passed else 1
 
 
-def cmd_table1(args) -> int:
+def cmd_table1(opts) -> int:
+    depth = _check_depth(opts["depth"])
     from .roots_table import PUBLISHED_ROOT_ROWS, TABLE_DEPTH, root_table_cells
 
-    depth = _check_depth(args.depth)
     if depth > TABLE_DEPTH:
         raise UsageError(f"table1 depth {depth} exceeds the published table's depth {TABLE_DEPTH}")
     cells = root_table_cells(depth)
     widths = (3, 26, 26, 10)
     print(f"{'m,k':>{widths[0]}} {'computed':>{widths[1]}} {'published':>{widths[2]}} {'status':>{widths[3]}}")
-    consistent = True
-    diffs = 0
     for cell in cells:
-        if not cell.matches_oracle:
-            consistent = False
-            status = "ORACLE-DIFF"
-        elif cell.matches_published:
-            status = "ok"
-        else:
-            status = "DIFF"
-            diffs += 1
+        status = "ORACLE-DIFF" if not cell.matches_oracle else "ok" if cell.matches_published else "DIFF"
         print(f"{cell.m},{cell.k:>1} {str(cell.computed):>{widths[1]}} "
               f"{str(cell.published):>{widths[2]}} {status:>{widths[3]}}")
+    diffs = sum(c.matches_oracle and not c.matches_published for c in cells)
     print(f"rows m in {sorted(PUBLISHED_ROOT_ROWS)}; {diffs} published cells differ from "
           f"the computed/oracle values")
-    return 0 if consistent else 1
+    return 0 if all(c.matches_oracle for c in cells) else 1
 
 
-def cmd_oeis_compare(args) -> int:
-    name, seq = _load_seq(args.sequence)
+def cmd_oeis_compare(opts, sequence, bfile) -> int:
+    transform = opts["transform"]
+    name, seq = _load_seq(sequence)
+    from . import jsonio
+    from .poly import RatPoly
+
     if any(isinstance(v, RatPoly) for v in seq):
         raise UsageError("oeis-compare needs a rational-valued sequence")
     try:
-        with open(args.bfile, encoding="utf-8") as fh:
+        with open(bfile, encoding="utf-8") as fh:
             entries = jsonio.parse_bfile(fh.read())
     except OSError as exc:
-        raise UsageError(f"cannot read {args.bfile}: {exc}") from None
+        raise UsageError(f"cannot read {bfile}: {exc}") from None
     except jsonio.BFileError as exc:
-        raise UsageError(f"{args.bfile}: {exc}") from None
-    take = (lambda v: v.numerator) if args.transform == "numerator" else (lambda v: v.denominator)
+        raise UsageError(f"{bfile}: {exc}") from None
+    take = (lambda v: v.numerator) if transform == "numerator" else (lambda v: v.denominator)
     overlap = [(idx, val) for idx, val in entries if 0 <= idx <= seq.depth]
     if not overlap:
         raise UsageError("no overlap between sequence indices and b-file indices")
     for idx, val in overlap:
         ours = take(seq[idx])
         if ours != val:
-            print(f"mismatch at index {idx}: sequence {args.transform} {ours}, b-file {val}")
+            print(f"mismatch at index {idx}: sequence {transform} {ours}, b-file {val}")
             return 1
     lo, hi = overlap[0][0], overlap[-1][0]
-    print(f"full agreement on {len(overlap)} indices ({lo}..{hi}) [{name}, {args.transform}]")
+    print(f"full agreement on {len(overlap)} indices ({lo}..{hi}) [{name}, {transform}]")
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="binomring",
-        description="Exact binomial-convolution ring toolkit: sequence generators, "
-                    "ring operations, and identity verification.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# command -> (handler, positionals, the flags it reads, default --depth, the table its first positional names)
+COMMANDS = {
+    "gen": (cmd_gen, "GENERATOR", "depth format output", 12, GENERATORS),
+    "op": (cmd_op, "OPERATION [FILE...]", "output", None, OPERATIONS),
+    "verify": (cmd_verify, "NAME", "depth output m n k p q x", 12, None),
+    "table1": (cmd_table1, "", "depth", 8, None),
+    "oeis-compare": (cmd_oeis_compare, "SEQUENCE BFILE", "transform", None, None),
+}
 
-    def add_common(sp, default_depth=12):
-        sp.add_argument("--depth", type=int, default=default_depth, help="truncation depth K")
-        sp.add_argument("--format", choices=("json", "csv", "bfile"), default="json")
-        sp.add_argument("--output", "-o", default=None, help="write to file instead of stdout")
-        sp.add_argument("--p", type=int, default=None)
-        sp.add_argument("--q", type=int, default=None)
-        sp.add_argument("--m", type=int, default=None)
-        sp.add_argument("--n", type=int, default=None)
-        sp.add_argument("--k", type=int, default=None)
-        sp.add_argument("--x", default=None, help="rational NUM or NUM/DEN")
 
-    sp = sub.add_parser("gen", help="generate a named sequence")
-    sp.add_argument("name")
-    add_common(sp)
-    sp.set_defaults(fn=cmd_gen)
+def _flag_usage(names: str) -> str:
+    return " ".join(f"--{f} {FLAGS[f]}" for f in names.split())
 
-    sp = sub.add_parser("op", help="apply a ring operation to sequence JSON files")
-    sp.add_argument("operation")
-    sp.add_argument("files", nargs="*", help="input files ('-' = stdin)")
-    add_common(sp)
-    sp.set_defaults(fn=cmd_op)
 
-    sp = sub.add_parser("verify", help="run a named identity check")
-    sp.add_argument("name")
-    add_common(sp)
-    sp.set_defaults(fn=cmd_verify)
+def _usage() -> str:
+    lines = ["usage: binomring COMMAND ARGUMENTS FLAGS; a flag the command does not read exits 2", ""]
+    for command, (_, positionals, flags, depth, _) in COMMANDS.items():
+        default = f"(default --depth {depth})" if depth is not None else ""
+        lines.append("  " + " ".join(filter(None, (command, positionals, _flag_usage(flags), default))))
+    for title, table in (("gen GENERATOR also reads", GENERATORS), ("op OPERATION also reads", OPERATIONS)):
+        lines += ["", f"{title}:"] + [f"  {name} {_flag_usage(flags)}".rstrip() for name, (_, flags) in table.items()]
+    lines += ["", "-o is short for --output. TOOL_MAX_DEPTH (default 256) caps --depth. Exit codes: 0 pass,",
+              "1 comparison failed, 2 usage error, 3 domain error."]
+    return "\n".join(lines)
 
-    sp = sub.add_parser("table1", help="compare computed Bernoulli roots with the published table")
-    add_common(sp, default_depth=8)
-    sp.set_defaults(fn=cmd_table1)
 
-    sp = sub.add_parser("oeis-compare", help="compare a sequence against a local OEIS b-file")
-    sp.add_argument("sequence", help="sequence JSON file")
-    sp.add_argument("bfile", help="b-file path ('index value' lines)")
-    sp.add_argument("--transform", choices=("numerator", "denominator"), required=True)
-    add_common(sp)
-    sp.set_defaults(fn=cmd_oeis_compare)
-
-    return parser
+def _parse(command: str, argv: list) -> list | None:
+    """The handler's arguments, the flags and then the positionals, checked against the tables; None for --help."""
+    _, positionals, flags, depth, table = COMMANDS[command]
+    names = flags.split()
+    for _, reads in (table or {}).values():
+        names += [f for f in reads.split() if f not in names]
+    short = "ho:" if "output" in names else "h"
+    try:
+        given, args = getopt.gnu_getopt(argv, short, [f + "=" for f in names] + ["help"])
+    except getopt.GetoptError as exc:
+        raise UsageError(f"{exc}; {command} reads {' '.join('--' + f for f in names)}") from None
+    opts = _Opts(depth)
+    for flag, text in given:
+        if flag in ("-h", "--help"):
+            return None
+        flag = "output" if flag == "-o" else flag[2:]
+        opts[flag] = _value(flag, text)
+    fixed = [p for p in positionals.split() if not p.startswith("[")]
+    if len(args) < len(fixed) or (len(args) > len(fixed) and "..." not in positionals):
+        raise UsageError(f"{command} takes {positionals or 'no arguments'}, got {' '.join(args) or 'none'}")
+    if table is not None:
+        kind, name = fixed[0].lower(), args[0]
+        if name not in table:
+            raise UsageError(f"unknown {kind} {name!r}; choose from {', '.join(table)}")
+        reads = flags.split() + table[name][1].split()
+        unread = [f"--{f}" for f in opts if f not in reads]
+        if unread:
+            raise UsageError(f"{command} {name} does not read {', '.join(unread)}; "
+                             f"it reads {' '.join('--' + f for f in reads)}")
+    return [opts, *args]
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    # argparse cannot place positionals after options when nargs="*" already
-    # matched empty, so trailing file arguments surface as extras here
-    args, extras = parser.parse_known_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        if extras:
-            if args.command == "op":
-                args.files = list(args.files) + extras
-            else:
-                raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
-        return args.fn(args)
+        if argv[:1] not in (["-h"], ["--help"]):
+            if not argv or argv[0] not in COMMANDS:
+                got = repr(argv[0]) if argv else "none"
+                raise UsageError(f"choose a command from {', '.join(COMMANDS)}, got {got}; binomring --help for usage")
+            parsed = _parse(argv[0], argv[1:])
+            if parsed is not None:
+                return COMMANDS[argv[0]][0](*parsed)
+        print(_usage())
+        return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

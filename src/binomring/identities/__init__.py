@@ -16,8 +16,9 @@ The checks live in five family modules: ``inverse_power`` (eq3, eq9),
 ``power_sums``, ``symmetric`` (carlitz .. eq20), ``poly_symmetry`` (eq21 ..
 eq24, tuenter, cor9) and ``convolution`` (prop10, eq25-iso, eq29, eq31,
 eq32). This package holds the report types, the shared helpers and one
-static table, ``_TABLE``, mapping each name to its family module and to the
-parameter names its check reads; the check itself is the function
+static table, ``_TABLE``, mapping each name to its family module, to the
+parameter names its check reads and to whether its comparison depends on
+the depth (all but carlitz and eq29); the check itself is the function
 ``_check_<name>`` (dashes become underscores) in that module. ``check``
 looks a name up in the table, rejects any parameter the check does not
 read, and only then imports the one family module, so a process that runs a
@@ -59,40 +60,46 @@ class IdentityReport(NamedTuple):
     first_failure: Optional[FirstFailure] = None
 
 
-# name -> (family module, the parameter names its check reads)
+# name -> (family module, the parameter names its check reads, whether what it compares depends on the depth)
 _TABLE = {
-    "eq3": ("inverse_power", "bernoulli"),
-    "eq9": ("inverse_power", "n"),
-    "eq9-k0-a": ("inverse_power", "n"),
-    "eq9-k0-b": ("inverse_power", "alpha n"),
-    "faulhaber": ("power_sums", "n bernoulli"),
-    "powersum-sigma-form": ("power_sums", ""),
-    "carlitz": ("symmetric", "m n bernoulli"),
-    "gould12": ("symmetric", "m n seed f F"),
-    "eq13": ("symmetric", "m n seed f"),
-    "thm5-forward": ("symmetric", "seed"),
-    "thm5-converse": ("symmetric", "seed f"),
-    "eq15": ("symmetric", "f euler1"),
-    "eq16": ("symmetric", "euler1"),
-    "eq18": ("symmetric", "f"),
-    "eq19": ("symmetric", "seed f"),
-    "eq20": ("symmetric", ""),
-    "eq21": ("poly_symmetry", "a b c seed"),
-    "eq22": ("poly_symmetry", "a b c seed"),
-    "eq23": ("poly_symmetry", "n a b c seed"),
-    "tuenter": ("poly_symmetry", "n a b seed"),
-    "eq24": ("poly_symmetry", "n a b seed"),
-    "cor9": ("poly_symmetry", "r p a b c seed"),
-    "prop10": ("convolution", "seed f g"),
-    "eq31": ("convolution", "m n seed f F"),
-    "eq32": ("convolution", "seed f F"),
-    "eq25-iso": ("convolution", "seed f g"),
-    "eq29": ("convolution", "n k"),
+    "eq3": ("inverse_power", "bernoulli", True),
+    "eq9": ("inverse_power", "n", True),
+    "eq9-k0-a": ("inverse_power", "n", True),
+    "eq9-k0-b": ("inverse_power", "alpha n", True),
+    "faulhaber": ("power_sums", "n bernoulli", True),
+    "powersum-sigma-form": ("power_sums", "", True),
+    "carlitz": ("symmetric", "m n bernoulli", False),
+    "gould12": ("symmetric", "m n seed f F", True),
+    "eq13": ("symmetric", "m n seed f", True),
+    "thm5-forward": ("symmetric", "seed", True),
+    "thm5-converse": ("symmetric", "seed f", True),
+    "eq15": ("symmetric", "f euler1", True),
+    "eq16": ("symmetric", "euler1", True),
+    "eq18": ("symmetric", "f", True),
+    "eq19": ("symmetric", "seed f", True),
+    "eq20": ("symmetric", "", True),
+    "eq21": ("poly_symmetry", "a b c seed", True),
+    "eq22": ("poly_symmetry", "a b c seed", True),
+    "eq23": ("poly_symmetry", "n a b c seed", True),
+    "tuenter": ("poly_symmetry", "n a b seed", True),
+    "eq24": ("poly_symmetry", "n a b seed", True),
+    "cor9": ("poly_symmetry", "r p a b c seed", True),
+    "prop10": ("convolution", "seed f g", True),
+    "eq31": ("convolution", "m n seed f F", True),
+    "eq32": ("convolution", "seed f F", True),
+    "eq25-iso": ("convolution", "seed f g", True),
+    "eq29": ("convolution", "n k", False),
 }
 
 
 def registered_names() -> list[str]:
     return sorted(_TABLE)
+
+
+def reads_depth(name: str) -> bool:
+    """Whether the check compares more or other values at another depth; carlitz and eq29 compare one
+    fixed value, so the CLI refuses an explicit --depth for them. Unknown names raise KeyError."""
+    return _TABLE[name][2]
 
 
 def _check_function(name: str) -> Callable[[dict, int], IdentityReport]:

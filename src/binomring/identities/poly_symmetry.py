@@ -9,11 +9,11 @@ from ..units import power_int
 from . import _distinct_nonzero_triple, _get_int, _get_nmax, _get_rat, _rng, _seq_mismatches, _verdict
 
 
-def _abc(params, rng) -> tuple[Fraction, Fraction, Fraction]:
-    """a, b and c from params, any of them missing drawn at random."""
-    given = [_get_rat(params, key, None) for key in "abc"]
+def _given(params, keys: str, draw) -> tuple:
+    """The rationals named by keys; if any is missing, draw() samples them all and each given one overrides its part."""
+    given = [_get_rat(params, key, None) for key in keys]
     if None in given:
-        given = [s if v is None else v for v, s in zip(given, _distinct_nonzero_triple(rng))]
+        given = [s if v is None else v for v, s in zip(given, draw())]
     return tuple(given)
 
 
@@ -24,7 +24,7 @@ def _twisted(x, f, y, g):
 
 def _check_eq21(params, depth):
     rng = _rng(params)
-    a, b, c = _abc(params, rng)
+    a, b, c = _given(params, "abc", lambda: _distinct_nonzero_triple(rng))
     Bc = bernoulli_poly_at(c, depth)
     Bac = bernoulli_poly_at(a + c, depth)
     Bbc = bernoulli_poly_at(b + c, depth)
@@ -53,7 +53,7 @@ def _eq22_sides(a, b, c, depth):
 
 def _check_eq22(params, depth):
     rng = _rng(params)
-    a, b, c = _abc(params, rng)
+    a, b, c = _given(params, "abc", lambda: _distinct_nonzero_triple(rng))
     L1, L2, R = _eq22_sides(a, b, c, depth)
     printed_ok = all(b * L1[n] == a * L2[n] for n in range(depth + 1))
     rhs = TruncSeq(R[n + 1] / (n + 1) for n in range(depth + 1))
@@ -137,13 +137,10 @@ def _corrected_verdict(name, used, depth, terms):
 def _check_eq23(params, depth):
     rng = _rng(params)
     nmax = _get_nmax(params, depth)
-    if all(k in params for k in ("a", "b", "c")):
-        a, b, c = (_get_rat(params, key, None) for key in "abc")
-        for n in range(1, nmax + 1):
-            if b ** (n - 1) * (b + c) - a ** (n - 1) * (a + c) == 0:
-                raise ValueError(f"eq23 precondition violated at n={n}")
-    else:
-        a, b, c = _sample_eq23_triple(rng, nmax)
+    a, b, c = _given(params, "abc", lambda: _sample_eq23_triple(rng, nmax))
+    for n in range(1, nmax + 1):
+        if b ** (n - 1) * (b + c) - a ** (n - 1) * (a + c) == 0:
+            raise ValueError(f"eq23 precondition violated at n={n}")
     _nonzero(a=a, b=b)
     return _corrected_verdict("eq23", {"a": a, "b": b, "c": c, "n": nmax}, depth,
                               _eq23_terms(a, b, c, nmax))
@@ -152,10 +149,7 @@ def _check_eq23(params, depth):
 def _check_tuenter(params, depth):
     rng = _rng(params)
     nmax = _get_nmax(params, depth)
-    a = _get_rat(params, "a", None)
-    b = _get_rat(params, "b", None)
-    if a is None or b is None:
-        a, b, _ = _sample_eq23_triple(rng, nmax, force_c=Fraction(0))
+    a, b = _given(params, "ab", lambda: _sample_eq23_triple(rng, nmax, force_c=Fraction(0))[:2])
     _nonzero(a=a, b=b)
     # the printed form, which needs no correction at c = 0
     terms = _eq23_terms(a, b, Fraction(0), nmax)
@@ -166,20 +160,19 @@ def _check_tuenter(params, depth):
 def _check_eq24(params, depth):
     rng = _rng(params)
     nmax = _get_nmax(params, depth)
-    a = _get_rat(params, "a", None)
-    b = _get_rat(params, "b", None)
-    if a is None or b is None:
-        a, b, _ = _sample_eq23_triple(rng, nmax, force_c=Fraction(1))
+    a, b = _given(params, "ab", lambda: _sample_eq23_triple(rng, nmax, force_c=Fraction(1))[:2])
     _nonzero(a=a, b=b)
     return _corrected_verdict("eq24", {"a": a, "b": b, "n": nmax}, depth, _eq24_terms(a, b, nmax))
 
 
 def _check_cor9(params, depth):
+    if "r" in params and "p" in params:
+        raise ValueError("cor9 takes its power as r or as p, not both")
     r = _get_int(params, "r", _get_int(params, "p", 2))
     if r < 1:
         raise ValueError("r must be >= 1")
     rng = _rng(params)
-    a, b, c = _abc(params, rng)
+    a, b, c = _given(params, "abc", lambda: _distinct_nonzero_triple(rng))
     K = depth
 
     def mism():

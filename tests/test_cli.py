@@ -388,3 +388,107 @@ def test_verify_eq31_large_n_stays_bounded(tmp_path):
                           timeout=60, preexec_fn=limit)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["pass"] is True
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("gen", "bernoulli", "--x", "5"), "error: gen bernoulli does not read --x"),
+    (("gen", "e", "--format", "bfile", "--n", "4"), "error: gen e does not read --n"),
+    (("table1", "--x", "3"), "error: option --x not recognized"),
+    (("table1", "-o", "FILE"), "error: option -o not recognized"),
+    (("verify", "eq3", "--format", "csv"), "error: option --format not recognized"),
+    (("oeis-compare", "SEQ", "BFILE", "--transform", "numerator", "--depth", "5"),
+     "error: option --depth not recognized"),
+    (("op", "bullet", "SEQ", "--depth", "3", "SEQ"), "error: option --depth not recognized"),
+    (("op", "decompose", "SEQ", "--format", "csv"), "error: op decompose does not read --format"),
+    (("gen", "bernoulli", "--depth", "abc"), "error: --depth needs an integer, got 'abc'"),
+    (("gen", "bernoulli", "--format", "xml"), "error: --format must be one of json, csv, bfile"),
+    (("oeis-compare", "SEQ", "BFILE", "--transform", "both"), "error: --transform must be one of numerator"),
+    (("oeis-compare", "SEQ", "BFILE"), "error: --transform is required here"),
+    (("gen", "bernoulli", "--depth"), "error: option --depth requires argument"),
+    (("gen",), "error: gen takes GENERATOR, got none"),
+    (("table1", "extra"), "error: table1 takes no arguments, got extra"),
+    (("frobnicate",), "error: choose a command from gen, op, verify, table1, oeis-compare, got 'frobnicate'"),
+    ((), "error: choose a command from gen, op, verify, table1, oeis-compare, got none"),
+])
+def test_bad_command_line_is_a_usage_error(tmp_path, capsys, argv, message):
+    seq = tmp_path / "seq.json"
+    seq.write_text('{"name": "e", "depth": 2, "values": [["1","1"], ["0","1"], ["0","1"]]}')
+    subst = {"SEQ": str(seq), "BFILE": os.path.join(DATA, "b241885.txt"), "FILE": str(tmp_path / "out.txt")}
+    code, out, err = run(capsys, *(subst.get(a, a) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith(message) and "Traceback" not in err
+    assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("argv", [("--depth=5",), ("--dep", "5"), ("--de=5",), ("--depth", "3", "--depth", "5")])
+def test_depth_flag_spellings(capsys, argv):
+    assert run(capsys, "gen", "bernoulli", *argv) == run(capsys, "gen", "bernoulli", "--depth", "5")
+
+
+def test_short_output_flag(tmp_path, capsys):
+    target = tmp_path / "out.json"
+    code, out, _ = run(capsys, "gen", "e", "-o", str(target), "--depth", "2")
+    assert code == 0 and out == ""
+    assert target.read_text() == run(capsys, "gen", "e", "--depth", "2")[1]
+
+
+def test_op_flags_among_the_files(tmp_path, capsys):
+    for name in ("I", "nu"):
+        (tmp_path / f"{name}.json").write_text(run(capsys, "gen", name, "--depth", "3")[1])
+    a, b = str(tmp_path / "I.json"), str(tmp_path / "nu.json")
+    code, out, _ = run(capsys, "op", "bullet", a, "--format", "csv", b)
+    assert code == 0 and out.splitlines() == ["k,numerator,denominator", "0,1,1", "1,0,1", "2,0,1", "3,0,1"]
+    assert run(capsys, "op", "bullet", "--format=csv", "--", a, b)[1] == out
+    assert run(capsys, "op", "root", a, "--m", "2") == run(capsys, "op", "root", "--m", "2", a)
+
+
+@pytest.mark.parametrize("x", [("--x", "-1/2"), ("--x=-1/2",)])
+def test_negative_rational_value(capsys, x):
+    code, out, _ = run(capsys, "gen", "eps", *x, "--depth", "3", "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["k,numerator,denominator", "0,1,1", "1,-1,2", "2,1,4", "3,-1,8"]
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("-h",), ("gen", "--help"), ("op", "root", "-h"), ("table1", "--he")])
+def test_help_names_every_command_generator_and_operation(capsys, argv):
+    from binomring.cli import COMMANDS, GENERATORS, OPERATIONS
+
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    words = set(out.split())
+    assert set(COMMANDS) | set(GENERATORS) | set(OPERATIONS) <= words
+
+
+@pytest.mark.parametrize("name", ["carlitz", "eq29"])
+def test_verify_refuses_depth_for_a_check_that_never_reads_it(capsys, name):
+    code, out, err = run(capsys, "verify", name, "--depth", "3")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: verify {name} does not read --depth")
+    code, out, _ = run(capsys, "verify", name)
+    assert code == 0 and json.loads(out)["depth"] == 12
+
+
+def test_verify_accepts_depth_for_every_check_that_reads_it(capsys):
+    from binomring.identities import reads_depth, registered_names
+
+    names = [name for name in registered_names() if reads_depth(name)]
+    assert len(names) == len(registered_names()) - 2
+    for name in names:
+        code, out, err = run(capsys, "verify", name, "--depth", "4")
+        assert code == 0, (name, err)
+        assert json.loads(out)["depth"] == 4
+
+
+def test_posixly_correct_stops_flags_at_the_first_positional(capsys, monkeypatch):
+    # getopt.gnu_getopt follows the POSIXLY_CORRECT convention: flags must then precede the positionals
+    want = run(capsys, "gen", "bernoulli", "--depth", "3")
+    monkeypatch.setenv("POSIXLY_CORRECT", "1")
+    assert run(capsys, "gen", "--depth", "3", "bernoulli") == want
+    code, out, err = run(capsys, "gen", "bernoulli", "--depth", "3")
+    assert code == 2 and out == "" and err.startswith("error: gen takes GENERATOR, got bernoulli --depth 3")
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    code, out, err = run(capsys, "gen", "e", "--depth", "2", "-o", str(tmp_path / "missing" / "out.json"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write") and "Traceback" not in err

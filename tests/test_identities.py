@@ -76,6 +76,30 @@ def test_eq23_family_refuses_zero_a_or_b(name, params, key):
         check(name, params, 6)
 
 
+@pytest.mark.parametrize("name, given", [
+    ("eq23", {"c": F(1, 3)}), ("eq23", {"a": 7}), ("tuenter", {"a": 7}), ("tuenter", {"b": F(-5, 3)}),
+    ("eq24", {"b": 7}), ("eq24", {"a": F(5, 3)}),
+])
+def test_an_explicit_parameter_overrides_only_its_part_of_the_sample(name, given):
+    sampled = check(name, {}, 8).params
+    r = check(name, given, 8)
+    assert r.passed
+    keys = "abc" if name == "eq23" else "ab"
+    assert {k: r.params[k] for k in keys} == {k: str(given.get(k, sampled[k])) for k in keys}
+
+
+def test_eq23_refuses_a_merged_triple_that_breaks_its_precondition():
+    b = check("eq23", {}, 6).params["b"]
+    with pytest.raises(ValueError, match="precondition violated at n=1"):
+        check("eq23", {"a": F(b)}, 6)
+
+
+def test_cor9_refuses_its_power_given_twice():
+    with pytest.raises(ValueError, match="r or as p, not both"):
+        check("cor9", {"r": 2, "p": 3}, 6)
+    assert check("cor9", {"p": 3}, 6).params["r"] == "3"
+
+
 FAMILIES = ("inverse_power", "power_sums", "symmetric", "poly_symmetry", "convolution")
 
 

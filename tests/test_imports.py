@@ -44,7 +44,7 @@ def test_command_loads_only_what_it_runs(tmp_path, argv, wanted, unwanted):
     seq.write_text('{"name": "e", "depth": 2, "values": [["1","1"], ["0","1"], ["0","1"]]}')
     loaded = loaded_by(tmp_path, *(str(seq) if a == "FILE" else a for a in argv))
     assert wanted <= loaded
-    assert not loaded & (unwanted | {"dataclasses", "inspect"})
+    assert not loaded & (unwanted | {"dataclasses", "inspect", "argparse"})
 
 
 FAMILIES = {f"binomring.identities.{f}"
@@ -67,6 +67,21 @@ def test_verify_usage_error_loads_no_family(tmp_path, argv):
     loaded = loaded_by(tmp_path, *argv, code=2)
     assert "binomring.identities" in loaded
     assert not loaded & (FAMILIES | {"binomring.special", "binomring.units"})
+
+
+@pytest.mark.parametrize("argv", [("gen", "fibonacci"), ("gen", "bernoulli", "--depth", "99999")],
+                         ids=["name", "depth"])
+def test_gen_usage_error_loads_no_library_module(tmp_path, argv):
+    loaded = loaded_by(tmp_path, *argv, code=2)
+    assert {m for m in loaded if m.startswith("binomring")} == {"binomring", "binomring.cli", "binomring.errors"}
+
+
+def test_module_entry_point_reads_sys_argv(tmp_path):
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "binomring.cli", "gen", "e", "--depth", "0"],
+                          env=dict(os.environ, PYTHONPATH=path), cwd=tmp_path, capture_output=True, text=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, '{"name":"e","depth":0,"values":[["1","1"]]}\n', "")
 
 
 def test_package_import_loads_no_submodule(tmp_path):
