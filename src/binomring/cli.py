@@ -8,7 +8,7 @@ oeis-compare (diff a sequence against a local OEIS b-file).
 Three tables drive the command line. COMMANDS maps each command to its
 handler, positionals, the flags it reads and its default depth; GENERATORS
 and OPERATIONS map each gen and op name to its builder and the flags that
-builder reads. getopt.gnu_getopt parses only the chosen command's flags, so
+builder reads. getopt parses only the chosen command's flags, so
 a flag that the command, its generator or operation, or the identity check
 does not read is a usage error, never dropped. -h/--help prints usage built
 from the tables. No library module loads before the command line is accepted.
@@ -153,10 +153,14 @@ def _serialize(opts, name: str, seq: TruncSeq) -> str:
         if poly:
             raise UsageError("bfile format supports only rational-valued sequences")
         return "\n".join(f"{k} {v}" for k, v in enumerate(seq))
-    if poly:
-        return "\n".join(["k,poly"] + [f"{k},{' '.join(map(str, v.coeffs if isinstance(v, RatPoly) else (v,)))}"
-                                       for k, v in enumerate(seq)])
-    return "\n".join(["k,numerator,denominator"] + [f"{k},{v.numerator},{v.denominator}" for k, v in enumerate(seq)])
+    lines = ["k,poly" if poly else "k,numerator,denominator"]
+    for k, v in enumerate(seq):
+        if poly:
+            coeffs = v.coeffs if isinstance(v, RatPoly) else (v,)
+            lines.append(f"{k},{' '.join(str(c) for c in coeffs)}")
+        else:
+            lines.append(f"{k},{v.numerator},{v.denominator}")
+    return "\n".join(lines)
 
 
 def _load_seq(path: str) -> tuple[str, TruncSeq]:
@@ -225,14 +229,22 @@ def cmd_table1(opts) -> int:
     cells = root_table_cells(depth)
     widths = (3, 26, 26, 10)
     print(f"{'m,k':>{widths[0]}} {'computed':>{widths[1]}} {'published':>{widths[2]}} {'status':>{widths[3]}}")
+    consistent = True
+    diffs = 0
     for cell in cells:
-        status = "ORACLE-DIFF" if not cell.matches_oracle else "ok" if cell.matches_published else "DIFF"
+        if not cell.matches_oracle:
+            consistent = False
+            status = "ORACLE-DIFF"
+        elif cell.matches_published:
+            status = "ok"
+        else:
+            status = "DIFF"
+            diffs += 1
         print(f"{cell.m},{cell.k:>1} {str(cell.computed):>{widths[1]}} "
               f"{str(cell.published):>{widths[2]}} {status:>{widths[3]}}")
-    diffs = sum(c.matches_oracle and not c.matches_published for c in cells)
     print(f"rows m in {sorted(PUBLISHED_ROOT_ROWS)}; {diffs} published cells differ from "
           f"the computed/oracle values")
-    return 0 if all(c.matches_oracle for c in cells) else 1
+    return 0 if consistent else 1
 
 
 def cmd_oeis_compare(opts, sequence, bfile) -> int:
@@ -250,12 +262,11 @@ def cmd_oeis_compare(opts, sequence, bfile) -> int:
         raise UsageError(f"cannot read {bfile}: {exc}") from None
     except jsonio.BFileError as exc:
         raise UsageError(f"{bfile}: {exc}") from None
-    take = (lambda v: v.numerator) if transform == "numerator" else (lambda v: v.denominator)
     overlap = [(idx, val) for idx, val in entries if 0 <= idx <= seq.depth]
     if not overlap:
         raise UsageError("no overlap between sequence indices and b-file indices")
     for idx, val in overlap:
-        ours = take(seq[idx])
+        ours = getattr(seq[idx], transform)
         if ours != val:
             print(f"mismatch at index {idx}: sequence {transform} {ours}, b-file {val}")
             return 1
@@ -297,10 +308,19 @@ def _parse(command: str, argv: list) -> list | None:
     for _, reads in (table or {}).values():
         names += [f for f in reads.split() if f not in names]
     short = "ho:" if "output" in names else "h"
+    # getopt.getopt stops at each positional: take it and read on, so flags may follow positionals
+    # whatever the environment (gnu_getopt would stop for good if POSIXLY_CORRECT were set)
+    cut = argv.index("--") if "--" in argv else len(argv)
+    given, args, rest = [], [], argv[:cut]
     try:
-        given, args = getopt.gnu_getopt(argv, short, [f + "=" for f in names] + ["help"])
+        while rest:
+            found, rest = getopt.getopt(rest, short, [f + "=" for f in names] + ["help"])
+            given += found
+            args += rest[:1]
+            rest = rest[1:]
     except getopt.GetoptError as exc:
         raise UsageError(f"{exc}; {command} reads {' '.join('--' + f for f in names)}") from None
+    args += argv[cut + 1:]
     opts = _Opts(depth)
     for flag, text in given:
         if flag in ("-h", "--help"):

@@ -99,6 +99,8 @@ def registered_names() -> list[str]:
 def reads_depth(name: str) -> bool:
     """Whether the check compares more or other values at another depth; carlitz and eq29 compare one
     fixed value, so the CLI refuses an explicit --depth for them. Unknown names raise KeyError."""
+    if name not in _TABLE:
+        raise KeyError(f"unknown identity: {name!r}")
     return _TABLE[name][2]
 
 

@@ -138,9 +138,6 @@ def _check_eq23(params, depth):
     rng = _rng(params)
     nmax = _get_nmax(params, depth)
     a, b, c = _given(params, "abc", lambda: _sample_eq23_triple(rng, nmax))
-    for n in range(1, nmax + 1):
-        if b ** (n - 1) * (b + c) - a ** (n - 1) * (a + c) == 0:
-            raise ValueError(f"eq23 precondition violated at n={n}")
     _nonzero(a=a, b=b)
     return _corrected_verdict("eq23", {"a": a, "b": b, "c": c, "n": nmax}, depth,
                               _eq23_terms(a, b, c, nmax))
