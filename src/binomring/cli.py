@@ -17,9 +17,18 @@ Exit codes: 0 success/pass, 1 identity or comparison failure, 2 usage
 error, 3 mathematical domain error (non-unit input, unrepresentable root,
 depth mismatch). TOOL_MAX_DEPTH (default 256) caps --depth; a value that
 is not an integer >= 0 is a usage error.
+
+main(argv) returns the exit code. A process (python -m binomring.cli, or the
+binomring console script) enters through run(), which ends the process
+without interpreter teardown once main() has returned: it runs the atexit
+callbacks, flushes stdout and stderr, and calls os._exit. Tearing the
+interpreter down (its final garbage collection and module cleanup) costs
+about 5 ms of a ~35 ms process and writes nothing. A failed flush ends the
+process as the interpreter would: it reports the error and exits 120.
 """
 from __future__ import annotations
 
+import atexit
 import getopt
 import os
 import sys
@@ -366,5 +375,19 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """The process entry: main(), then the atexit callbacks and the final flush that the interpreter's exit
+    would run, in its order, then os._exit in place of the teardown."""
+    code = main()
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        # the interpreter flushes again, reports the failure and exits 120, as a plain exit would have
+        sys.exit(120)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,11 +1,11 @@
 """The Dirichlet ring on {1..N}: divisor-sum convolution and its twists.
 
 Sequences are finite windows f(1..N) of arithmetic functions on the
-positive integers; a sequence is a unit exactly when f(1) != 0. The sieve
-tables (smallest prime factor, factorizations, Moebius values) are built
-once per bound and cached. Convolutions and inverses sum integer numerators
-over common denominators (seqcore's common-denominator kernel) and build
-each output value once.
+positive integers; a sequence is a unit exactly when f(1) != 0. factorize
+works by trial division and caches each n; the Moebius values of a window
+come from one smallest-prime-factor sieve, built once per bound and cached.
+Convolutions and inverses sum integer numerators over common denominators
+(seqcore's common-denominator kernel) and build each output value once.
 """
 from __future__ import annotations
 
@@ -39,15 +39,19 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization as ((p, exponent), ...), ascending primes."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    spf = _spf_table(n)
+    # trial division by 2 and the odd numbers up to sqrt(n): O(sqrt(n)) time and no table of size n
     out = []
-    while n > 1:
-        p = spf[n]
-        c = 0
-        while n % p == 0:
-            n //= p
-            c += 1
-        out.append((p, c))
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            c = 0
+            while n % p == 0:
+                n //= p
+                c += 1
+            out.append((p, c))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append((n, 1))
     return tuple(out)
 
 

@@ -1,4 +1,5 @@
 """CLI behaviour: formats, exit codes, round trips."""
+import io
 import json
 import os
 import resource
@@ -377,18 +378,35 @@ def test_verify_parameter_the_check_does_not_read(capsys, argv, message):
     assert err == f"error: invalid parameters: {message}\n"
 
 
+def child(cwd, *args, limit_mb=None):
+    """A fresh interpreter running args in cwd, with src/ importable and PYTHONUNBUFFERED unset, so stdout is
+    block-buffered and output the process does not flush goes missing; limit_mb caps its address space."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("PYTHONUNBUFFERED", None)
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (limit_mb << 20, limit_mb << 20))
+
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True, timeout=60,
+                          preexec_fn=limit if limit_mb else None)
+
+
 def test_verify_eq31_large_n_stays_bounded(tmp_path):
     # binom of m + n + s > 512 comes from math.comb, so no Pascal triangle of 3000 rows is kept
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
-
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "binomring.cli", "verify", "eq31", "--m", "1", "--n", "3000"],
-                          env=dict(os.environ, PYTHONPATH=path), cwd=tmp_path, capture_output=True, text=True,
-                          timeout=60, preexec_fn=limit)
+    proc = child(tmp_path, "-m", "binomring.cli", "verify", "eq31", "--m", "1", "--n", "3000", limit_mb=512)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["pass"] is True
+
+
+def test_mobius_bernoulli_large_n_stays_bounded(tmp_path, capsys):
+    # 10^11 = 2^11 5^11 is factored by trial division, with no sieve table of size n; its squarefree
+    # divisors are those of 10, so the values are the ones for n = 10
+    proc = child(tmp_path, "-m", "binomring.cli", "gen", "mobius-bernoulli", "--n", "100000000000", "--depth", "3",
+                 limit_mb=512)
+    assert proc.returncode == 0, proc.stderr
+    _, want, _ = run(capsys, "gen", "mobius-bernoulli", "--n", "10", "--depth", "3")
+    assert proc.stdout.decode() == want
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -493,3 +511,78 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
     code, out, err = run(capsys, "gen", "e", "--depth", "2", "-o", str(tmp_path / "missing" / "out.json"))
     assert code == 2 and out == ""
     assert err.startswith("error: cannot write") and "Traceback" not in err
+
+
+def test_process_output_matches_main(tmp_path, capsys):
+    # run() ends the process with os._exit, so its stdout and -o file are complete only if it flushed
+    _, want, _ = run(capsys, "gen", "bernoulli", "--depth", "256")
+    assert len(want) > io.DEFAULT_BUFFER_SIZE
+    proc = child(tmp_path, "-m", "binomring.cli", "gen", "bernoulli", "--depth", "256")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, want.encode(), b"")
+    proc = child(tmp_path, "-m", "binomring.cli", "gen", "bernoulli", "--depth", "256", "-o", "out.json")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    assert (tmp_path / "out.json").read_text() == want
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("gen", "e", "--depth", "2"), 0),
+    (("oeis-compare", "B8", os.path.join(DATA, "b241885.txt"), "--transform", "numerator"), 1),
+    (("gen", "fibonacci"), 2),
+    (("op", "invert", "ZEROS"), 3),
+])
+def test_process_exit_codes(tmp_path, capsys, argv, code):
+    (tmp_path / "B8").write_text(run(capsys, "gen", "bernoulli", "--depth", "8")[1])
+    (tmp_path / "ZEROS").write_text(run(capsys, "gen", "faulhaber", "--n", "0", "--depth", "4")[1])
+    want = run(capsys, *(str(tmp_path / a) if a in ("B8", "ZEROS") else a for a in argv))
+    assert want[0] == code
+    proc = child(tmp_path, "-m", "binomring.cli", *argv)
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == want
+
+
+def test_process_runs_atexit_callbacks(tmp_path, capsys):
+    script = ("import atexit, sys\n"
+              "atexit.register(print, 'callback ran')\n"
+              "sys.argv = ['binomring', 'gen', 'e', '--depth', '2']\n"
+              "from binomring.cli import run\n"
+              "run()\n")
+    proc = child(tmp_path, "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode() == run(capsys, "gen", "e", "--depth", "2")[1] + "callback ran\n"
+
+
+def test_module_entry_skips_interpreter_teardown(tmp_path, capsys):
+    # python -m binomring.cli runs the module as __main__; an object that reports its own collection shows
+    # whether the interpreter's teardown ran after the command
+    script = ("import runpy, sys\n"
+              "class Teardown:\n"
+              "    def __del__(self, write=sys.stderr.write):\n"
+              "        write('teardown ran\\n')\n"
+              "keep = Teardown()\n"
+              "sys.argv = ['binomring', 'gen', 'e', '--depth', '2']\n"
+              "runpy.run_module('binomring.cli', run_name='__main__')\n")
+    proc = child(tmp_path, "-c", script)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.decode() == run(capsys, "gen", "e", "--depth", "2")[1]
+
+
+@pytest.mark.parametrize("stream", ["stdout", "stderr"])
+def test_failed_final_flush_exits_120(tmp_path, stream):
+    # a stream whose flush fails, like stdout into a pipe whose reader has gone: run() must end the process as
+    # the interpreter's own exit after sys.exit(main()) does, with its report and status 120, never 0
+    def ended_by(exit_call):
+        script = ("import io, sys\n"
+                  "class Broken(io.TextIOWrapper):\n"
+                  "    def flush(self):\n"
+                  "        raise BrokenPipeError(32, 'Broken pipe')\n"
+                  f"sys.{stream} = Broken(io.BytesIO(), encoding='utf-8')\n"
+                  "sys.argv = ['binomring', 'gen', 'e', '--depth', '2']\n"
+                  "from binomring.cli import main, run\n"
+                  f"{exit_call}\n")
+        proc = child(tmp_path, "-c", script)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    ended = ended_by("run()")
+    assert ended[0] == 120
+    assert ended == ended_by("sys.exit(main())")
+    if stream == "stdout":
+        assert ended[2].decode().endswith("BrokenPipeError: [Errno 32] Broken pipe\n")

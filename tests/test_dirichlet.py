@@ -7,6 +7,7 @@ import pytest
 
 from binomring.dirichlet import (
     DirSeq,
+    _spf_table,
     coprime_power_sum_identity,
     delta,
     dirichlet_conv,
@@ -28,6 +29,31 @@ def test_factorize_divisors():
     assert factorize(1) == ()
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(1) == [1]
+
+
+def test_factorize_matches_a_sieve():
+    spf = _spf_table(30000)
+    for n in range(1, 30001):
+        want, m = [], n
+        while m > 1:
+            p, c = spf[m], 0
+            while m % p == 0:
+                m //= p
+                c += 1
+            want.append((p, c))
+        assert factorize(n) == tuple(want), n
+    assert factorize(2 ** 40 * 3 ** 5 * 1000003) == ((2, 40), (3, 5), (1000003, 1))
+    assert factorize(99999999977) == ((99999999977, 1),)  # a prime near 10^11
+    assert factorize(10 ** 11) == ((2, 11), (5, 11))
+
+
+def test_divisors_build_no_sieve_table():
+    # factorize works by trial division, so factoring 1..N keeps no table per n
+    _spf_table.cache_clear()
+    factorize.cache_clear()
+    for k in range(1, 1501):
+        divisors(k)
+    assert _spf_table.cache_info().currsize == 0
 
 
 def test_mobius_values():
