@@ -215,12 +215,12 @@ def cmd_op(opts, op, *files) -> int:
 
 
 def cmd_verify(opts, name) -> int:
-    params = {key: opts[key] for key in ("m", "n", "k", "p", "q", "x") if key in opts}
+    params = {key: value for key, value in opts.items() if key not in ("depth", "output")}
     depth = _check_depth(opts["depth"])
     from . import identities, jsonio
 
     try:
-        if "depth" in opts and not identities.reads_depth(name):
+        if "depth" in opts and "depth" not in identities.reads(name):
             raise UsageError(f"verify {name} does not read --depth: it compares the same values at every depth")
         report = identities.check(name, params, depth)
     except KeyError as exc:
@@ -288,7 +288,7 @@ def cmd_oeis_compare(opts, sequence, bfile) -> int:
 COMMANDS = {
     "gen": (cmd_gen, "GENERATOR", "depth format output", 12, GENERATORS),
     "op": (cmd_op, "OPERATION [FILE...]", "output", None, OPERATIONS),
-    "verify": (cmd_verify, "NAME", "depth output m n k p q x", 12, None),
+    "verify": (cmd_verify, "NAME", "depth output m n k p", 12, None),
     "table1": (cmd_table1, "", "depth", 8, None),
     "oeis-compare": (cmd_oeis_compare, "SEQUENCE BFILE", "transform", None, None),
 }

@@ -16,13 +16,16 @@ The checks live in five family modules: ``inverse_power`` (eq3, eq9),
 ``power_sums``, ``symmetric`` (carlitz .. eq20), ``poly_symmetry`` (eq21 ..
 eq24, tuenter, cor9) and ``convolution`` (prop10, eq25-iso, eq29, eq31,
 eq32). This package holds the report types, the shared helpers and one
-static table, ``_TABLE``, mapping each name to its family module, to the
-parameter names its check reads and to whether its comparison depends on
-the depth (all but carlitz and eq29); the check itself is the function
-``_check_<name>`` (dashes become underscores) in that module. ``check``
-looks a name up in the table, rejects any parameter the check does not
-read, and only then imports the one family module, so a process that runs a
-single check compiles and loads only that family.
+static table, ``_TABLE``, which declares once what each name's check reads:
+``depth`` when the values it compares depend on the depth (all but carlitz
+and eq29), then each parameter with its rule, such as ``n>=1`` or ``a!=0``.
+A parameter is a rational (a, b, c), a TruncSeq (the sequence overrides) or
+else an int. ``check`` is the one validator: it refuses an unknown name or a
+parameter the check does not read, converts each value to its kind (a float,
+or a non-integral int, is refused) and refuses one that breaks its rule.
+Only then does it import the family module and call ``_check_<name>``
+(dashes become underscores) there, which reads ``params.get(key, default)``;
+a process that runs a single check loads only that family.
 
 The checks use the ring operations rather than one product per index. The
 ``symmetric`` family reads every shifted product (I x_m f)(n) from one
@@ -60,48 +63,51 @@ class IdentityReport(NamedTuple):
     first_failure: Optional[FirstFailure] = None
 
 
-# name -> (family module, the parameter names its check reads, whether what it compares depends on the depth)
+# name -> (family module, what its check reads): "depth" when the values it compares depend on the depth, then
+# each parameter, as KEY, KEY>=BOUND for an int with a lower bound or KEY!=0 for a nonzero rational
 _TABLE = {
-    "eq3": ("inverse_power", "bernoulli", True),
-    "eq9": ("inverse_power", "n", True),
-    "eq9-k0-a": ("inverse_power", "n", True),
-    "eq9-k0-b": ("inverse_power", "alpha n", True),
-    "faulhaber": ("power_sums", "n bernoulli", True),
-    "powersum-sigma-form": ("power_sums", "", True),
-    "carlitz": ("symmetric", "m n bernoulli", False),
-    "gould12": ("symmetric", "m n seed f F", True),
-    "eq13": ("symmetric", "m n seed f", True),
-    "thm5-forward": ("symmetric", "seed", True),
-    "thm5-converse": ("symmetric", "seed f", True),
-    "eq15": ("symmetric", "f euler1", True),
-    "eq16": ("symmetric", "euler1", True),
-    "eq18": ("symmetric", "f", True),
-    "eq19": ("symmetric", "seed f", True),
-    "eq20": ("symmetric", "", True),
-    "eq21": ("poly_symmetry", "a b c seed", True),
-    "eq22": ("poly_symmetry", "a b c seed", True),
-    "eq23": ("poly_symmetry", "n a b c seed", True),
-    "tuenter": ("poly_symmetry", "n a b seed", True),
-    "eq24": ("poly_symmetry", "n a b seed", True),
-    "cor9": ("poly_symmetry", "r p a b c seed", True),
-    "prop10": ("convolution", "seed f g", True),
-    "eq31": ("convolution", "m n seed f F", True),
-    "eq32": ("convolution", "seed f F", True),
-    "eq25-iso": ("convolution", "seed f g", True),
-    "eq29": ("convolution", "n k", False),
+    "eq3": ("inverse_power", "depth bernoulli"),
+    "eq9": ("inverse_power", "depth n>=1"),
+    "eq9-k0-a": ("inverse_power", "depth n>=1"),
+    "eq9-k0-b": ("inverse_power", "depth alpha>=1 n>=1"),
+    "faulhaber": ("power_sums", "depth n>=0 bernoulli"),
+    "powersum-sigma-form": ("power_sums", "depth"),
+    "carlitz": ("symmetric", "m>=0 n>=0 bernoulli"),
+    "gould12": ("symmetric", "depth m>=0 n>=0 seed f F"),
+    "eq13": ("symmetric", "depth m>=0 n>=0 seed f"),
+    "thm5-forward": ("symmetric", "depth seed"),
+    "thm5-converse": ("symmetric", "depth seed f"),
+    "eq15": ("symmetric", "depth f euler1"),
+    "eq16": ("symmetric", "depth euler1"),
+    "eq18": ("symmetric", "depth f"),
+    "eq19": ("symmetric", "depth seed f"),
+    "eq20": ("symmetric", "depth"),
+    "eq21": ("poly_symmetry", "depth a b c seed"),
+    "eq22": ("poly_symmetry", "depth a b c seed"),
+    "eq23": ("poly_symmetry", "depth n>=1 a!=0 b!=0 c seed"),
+    "tuenter": ("poly_symmetry", "depth n>=1 a!=0 b!=0 seed"),
+    "eq24": ("poly_symmetry", "depth n>=1 a!=0 b!=0 seed"),
+    "cor9": ("poly_symmetry", "depth r>=1 p>=1 a b c seed"),
+    "prop10": ("convolution", "depth seed f g"),
+    "eq31": ("convolution", "depth m>=0 n>=0 seed f F"),
+    "eq32": ("convolution", "depth seed f F"),
+    "eq25-iso": ("convolution", "depth seed f g"),
+    "eq29": ("convolution", "n>=1 k>=0"),
 }
+
+# the kind of each parameter that is not an int
+_KINDS = {**dict.fromkeys("abc", Fraction), **dict.fromkeys(("bernoulli", "euler1", "f", "F", "g"), TruncSeq)}
 
 
 def registered_names() -> list[str]:
     return sorted(_TABLE)
 
 
-def reads_depth(name: str) -> bool:
-    """Whether the check compares more or other values at another depth; carlitz and eq29 compare one
-    fixed value, so the CLI refuses an explicit --depth for them. Unknown names raise KeyError."""
+def reads(name: str) -> list[str]:
+    """What the named check reads: "depth" first if what it compares depends on it, then the parameters."""
     if name not in _TABLE:
         raise KeyError(f"unknown identity: {name!r}")
-    return _TABLE[name][2]
+    return [word.partition("!=")[0].partition(">=")[0] for word in _TABLE[name][1].split()]
 
 
 def _check_function(name: str) -> Callable[[dict, int], IdentityReport]:
@@ -110,17 +116,41 @@ def _check_function(name: str) -> Callable[[dict, int], IdentityReport]:
     return getattr(family, "_check_" + name.replace("-", "_"))
 
 
+def _convert(key: str, value):
+    """value as its parameter's kind: a TruncSeq as it is, a Fraction or an int from an exact number (no float)."""
+    kind = _KINDS.get(key, int)
+    if kind is TruncSeq:
+        if isinstance(value, TruncSeq):
+            return value
+    elif not isinstance(value, float):
+        try:
+            exact = Fraction(value)
+        except (TypeError, ValueError, ZeroDivisionError):
+            exact = None
+        if exact is not None and (kind is Fraction or exact.denominator == 1):
+            return exact if kind is Fraction else exact.numerator
+    noun = {int: "an integer", Fraction: "a rational", TruncSeq: "a TruncSeq"}[kind]
+    raise ValueError(f"{key} must be {noun}, got {value!r}")
+
+
 def check(name: str, params: Mapping | None = None, depth: int = DEFAULT_DEPTH) -> IdentityReport:
-    """Dispatch a named check. Unknown names raise KeyError; bad params ValueError."""
-    if name not in _TABLE:
-        raise KeyError(f"unknown identity: {name!r}")
+    """Run a named check once its parameters pass its declaration. Unknown names raise KeyError; a negative depth,
+    a parameter the check does not read, or a value not of its kind or breaking its rule ValueError."""
+    keys = [key for key in reads(name) if key != "depth"]
     if depth < 0:
         raise ValueError("depth must be >= 0")
     params = dict(params or {})
-    reads = _TABLE[name][1].split()
-    unread = [repr(k) for k in params if k not in reads]
+    unread = [repr(k) for k in params if k not in keys]
     if unread:
-        raise ValueError(f"{name} does not take {', '.join(unread)}; it takes {', '.join(reads) or 'no parameters'}")
+        raise ValueError(f"{name} does not take {', '.join(unread)}; it takes {', '.join(keys) or 'no parameters'}")
+    for word in _TABLE[name][1].split():
+        key, rule, bound = word.partition("!=" if "!=" in word else ">=")
+        if key in params:
+            params[key] = value = _convert(key, params[key])
+            if rule == ">=" and value < int(bound):
+                raise ValueError(f"{key} must be >= {bound}")
+            if rule == "!=" and value == 0:
+                raise ValueError(f"{key} must be nonzero")
     return _check_function(name)(params, depth)
 
 
@@ -132,10 +162,7 @@ def run_all(depth: int = DEFAULT_DEPTH) -> list[IdentityReport]:
 # helpers
 
 def _scalar_params(used: dict) -> dict:
-    out = {}
-    for k, v in used.items():
-        out[k] = "<sequence>" if isinstance(v, TruncSeq) else str(v)
-    return out
+    return {k: "<sequence>" if isinstance(v, TruncSeq) else str(v) for k, v in used.items()}
 
 
 def _verdict(name, used, depth, mismatches) -> IdentityReport:
@@ -153,7 +180,7 @@ def _seq_mismatches(lhs: TruncSeq, rhs: TruncSeq, tag=None):
 
 
 def _rng(params: Mapping) -> random.Random:
-    return random.Random(int(params.get("seed", _DEFAULT_SEED)))
+    return random.Random(params.get("seed", _DEFAULT_SEED))
 
 
 def random_rational(rng: random.Random) -> Fraction:
@@ -171,33 +198,6 @@ def random_unit(rng: random.Random, depth: int, monic: bool = False) -> TruncSeq
     """A random member of the unit group; monic forces f(0) = 1."""
     head = Fraction(1) if monic else random_nonzero_rational(rng)
     return TruncSeq([head] + [random_rational(rng) for _ in range(depth)])
-
-
-def _get_int(params: Mapping, key: str, default: int) -> int:
-    v = params.get(key, default)
-    return int(v)
-
-
-def _get_rat(params: Mapping, key: str, default: Fraction | None) -> Fraction | None:
-    v = params.get(key, default)
-    if v is None or isinstance(v, Fraction):
-        return v
-    return Fraction(v)
-
-
-def _get_seq(params: Mapping, key: str) -> TruncSeq | None:
-    v = params.get(key)
-    if v is not None and not isinstance(v, TruncSeq):
-        raise ValueError(f"parameter {key!r} must be a TruncSeq")
-    return v
-
-
-def _get_nmax(params: Mapping, default: int) -> int:
-    """The top of a 1..n range; a default below 1 (at depth 0) becomes 1, an explicit n < 1 is refused."""
-    nmax = _get_int(params, "n", max(default, 1))
-    if nmax < 1:
-        raise ValueError("n must be >= 1")
-    return nmax
 
 
 def _distinct_nonzero_triple(rng: random.Random) -> tuple[Fraction, Fraction, Fraction]:

@@ -7,13 +7,13 @@ from math import factorial
 from ..seqcore import TruncSeq, binom, bullet, cauchy, make_named, pointwise_mul
 from ..special import bernoulli
 from ..units import inverse
-from . import _DEFAULT_SEED, _get_int, _get_seq, _rng, _seq_mismatches, _verdict, random_unit
+from . import _DEFAULT_SEED, _rng, _seq_mismatches, _verdict, random_unit
 
 
 def _check_prop10(params, depth):
     rng = _rng(params)
-    f = _get_seq(params, "f") or random_unit(rng, depth)
-    g2 = _get_seq(params, "g") or random_unit(rng, depth)
+    f = params.get("f") or random_unit(rng, depth)
+    g2 = params.get("g") or random_unit(rng, depth)
     Iseq = make_named("I", depth)
     F = bullet(Iseq, f)
     g1 = bullet(Iseq, g2)
@@ -27,15 +27,12 @@ def _check_prop10(params, depth):
 
 
 def _check_eq31(params, depth):
-    m = _get_int(params, "m", 2)
-    n = _get_int(params, "n", 3)
-    if m < 0 or n < 0:
-        raise ValueError("m and n must be >= 0")
+    m, n = params.get("m", 2), params.get("n", 3)
     rng = _rng(params)
-    f = _get_seq(params, "f") or random_unit(rng, depth)
+    f = params.get("f") or random_unit(rng, depth)
     g1 = TruncSeq(Fraction(1, (m + n + s + 1) * binom(m + n + s, m)) for s in range(depth + 1))
     g2 = TruncSeq(Fraction((-1) ** s, (m + n + s + 1) * binom(m + n + s, n)) for s in range(depth + 1))
-    F = _get_seq(params, "F") or bullet(make_named("I", depth), f)
+    F = params.get("F") or bullet(make_named("I", depth), f)
 
     def mism():
         yield from _seq_mismatches(g1, bullet(make_named("I", depth), g2), "pair")
@@ -46,9 +43,9 @@ def _check_eq31(params, depth):
 
 def _check_eq32(params, depth):
     rng = _rng(params)
-    f = _get_seq(params, "f") or random_unit(rng, depth)
+    f = params.get("f") or random_unit(rng, depth)
     B = bernoulli(depth)
-    F = _get_seq(params, "F") or bullet(make_named("I", depth), f)
+    F = params.get("F") or bullet(make_named("I", depth), f)
     lhs = bullet(f, pointwise_mul(make_named("nu", depth), B))
     rhs = bullet(F, B)
     return _verdict("eq32", {"seed": params.get("seed", _DEFAULT_SEED)}, depth,
@@ -57,8 +54,8 @@ def _check_eq32(params, depth):
 
 def _check_eq25_iso(params, depth):
     rng = _rng(params)
-    f = _get_seq(params, "f") or random_unit(rng, depth)
-    g = _get_seq(params, "g") or random_unit(rng, depth)
+    f = params.get("f") or random_unit(rng, depth)
+    g = params.get("g") or random_unit(rng, depth)
     fact = make_named("fact", depth)
     recip = TruncSeq(Fraction(1, factorial(k)) for k in range(depth + 1))
 
@@ -74,8 +71,7 @@ def _check_eq25_iso(params, depth):
 def _check_eq29(params, depth):
     from ..dirichlet import coprime_power_sum_identity
 
-    n = _get_int(params, "n", 6)
-    k = _get_int(params, "k", 2)
+    n, k = params.get("n", 6), params.get("k", 2)
     res = coprime_power_sum_identity(n, k)
     used = {"n": n, "k": k, "value": res.brute}
 

@@ -8,19 +8,17 @@ from ..poly import RatPoly
 from ..seqcore import TruncSeq, bullet, make_named
 from ..special import ber_inv_pow, bernoulli, bernoulli_poly
 from ..units import power_int
-from . import _get_int, _get_nmax, _get_seq, _seq_mismatches, _verdict
+from . import _seq_mismatches, _verdict
 
 
 def _check_eq3(params, depth):
-    B = _get_seq(params, "bernoulli") or bernoulli(depth)
+    B = params.get("bernoulli") or bernoulli(depth)
     lhs = bullet(B, make_named("xi1", depth))
     return _verdict("eq3", {}, depth, _seq_mismatches(lhs, make_named("e", depth)))
 
 
 def _check_eq9(params, depth):
-    n = _get_int(params, "n", 2)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = params.get("n", 2)
     # the k-th sum of eq9 is (B(x)^n * B(x)^(-n))(k) / k!, with the inverse power in closed form
     product = bullet(power_int(bernoulli_poly(depth), n), ber_inv_pow(n, depth))
     totals = TruncSeq(v / factorial(k) for k, v in enumerate(product))
@@ -28,7 +26,7 @@ def _check_eq9(params, depth):
 
 
 def _check_eq9_k0_a(params, depth):
-    nmax = _get_nmax(params, min(depth, 8))
+    nmax = params.get("n", max(min(depth, 8), 1))
 
     def mism():
         for n in range(1, nmax + 1):
@@ -43,10 +41,8 @@ def _check_eq9_k0_a(params, depth):
 
 
 def _check_eq9_k0_b(params, depth):
-    alpha_max = _get_int(params, "alpha", 3)
-    nmax = _get_nmax(params, min(depth, 8))
-    if alpha_max < 1:
-        raise ValueError("alpha must be >= 1")
+    alpha_max = params.get("alpha", 3)
+    nmax = params.get("n", max(min(depth, 8), 1))
 
     def mism():
         for alpha in range(1, alpha_max + 1):

@@ -6,12 +6,12 @@ from fractions import Fraction
 from ..seqcore import TruncSeq, bullet, make_eps, pointwise_mul, scale, sub
 from ..special import bernoulli, bernoulli_poly_at, sigma_eval
 from ..units import power_int
-from . import _distinct_nonzero_triple, _get_int, _get_nmax, _get_rat, _rng, _seq_mismatches, _verdict
+from . import _distinct_nonzero_triple, _rng, _seq_mismatches, _verdict
 
 
 def _given(params, keys: str, draw) -> tuple:
     """The rationals named by keys; if any is missing, draw() samples them all and each given one overrides its part."""
-    given = [_get_rat(params, key, None) for key in keys]
+    given = [params.get(key) for key in keys]
     if None in given:
         given = [s if v is None else v for v, s in zip(given, draw())]
     return tuple(given)
@@ -111,13 +111,6 @@ def _eq24_terms(a, b, nmax: int):
         yield n, B[n], total / den, (total - (-1) ** n * R[n + 1] / ((n + 1) * a * b)) / den
 
 
-def _nonzero(**values):
-    """Refuse a zero a or b, which the eq23 and eq24 sides divide by."""
-    for key, v in values.items():
-        if v == 0:
-            raise ValueError(f"{key} must be nonzero")
-
-
 def _sample_eq23_triple(rng, nmax, force_c=None):
     while True:
         a, b, c = _distinct_nonzero_triple(rng)
@@ -136,18 +129,16 @@ def _corrected_verdict(name, used, depth, terms):
 
 def _check_eq23(params, depth):
     rng = _rng(params)
-    nmax = _get_nmax(params, depth)
+    nmax = params.get("n", max(depth, 1))
     a, b, c = _given(params, "abc", lambda: _sample_eq23_triple(rng, nmax))
-    _nonzero(a=a, b=b)
     return _corrected_verdict("eq23", {"a": a, "b": b, "c": c, "n": nmax}, depth,
                               _eq23_terms(a, b, c, nmax))
 
 
 def _check_tuenter(params, depth):
     rng = _rng(params)
-    nmax = _get_nmax(params, depth)
+    nmax = params.get("n", max(depth, 1))
     a, b = _given(params, "ab", lambda: _sample_eq23_triple(rng, nmax, force_c=Fraction(0))[:2])
-    _nonzero(a=a, b=b)
     # the printed form, which needs no correction at c = 0
     terms = _eq23_terms(a, b, Fraction(0), nmax)
     return _verdict("tuenter", {"a": a, "b": b, "n": nmax}, depth,
@@ -156,18 +147,15 @@ def _check_tuenter(params, depth):
 
 def _check_eq24(params, depth):
     rng = _rng(params)
-    nmax = _get_nmax(params, depth)
+    nmax = params.get("n", max(depth, 1))
     a, b = _given(params, "ab", lambda: _sample_eq23_triple(rng, nmax, force_c=Fraction(1))[:2])
-    _nonzero(a=a, b=b)
     return _corrected_verdict("eq24", {"a": a, "b": b, "n": nmax}, depth, _eq24_terms(a, b, nmax))
 
 
 def _check_cor9(params, depth):
     if "r" in params and "p" in params:
         raise ValueError("cor9 takes its power as r or as p, not both")
-    r = _get_int(params, "r", _get_int(params, "p", 2))
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    r = params.get("r", params.get("p", 2))
     rng = _rng(params)
     a, b, c = _given(params, "abc", lambda: _distinct_nonzero_triple(rng))
     K = depth

@@ -5,12 +5,12 @@ from fractions import Fraction
 
 from ..seqcore import TruncSeq, bullet, make_eps, make_named, pointwise_mul
 from ..special import _appell, bernoulli, faulhaber, power_sum_bruteforce, power_sum_poly
-from . import _get_int, _get_seq, _seq_mismatches, _verdict
+from . import _seq_mismatches, _verdict
 
 
 def _check_faulhaber(params, depth):
-    n = _get_int(params, "n", 10)
-    B = _get_seq(params, "bernoulli")
+    n = params.get("n", 10)
+    B = params.get("bernoulli")
     if B is None:
         computed = faulhaber(n, depth)
     else:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from ..errors import DepthMismatchError
 from ..seqcore import TruncSeq, _over_common, _rational, add, binom, bullet, deviation, make_named, scale
 from ..special import bernoulli, euler1
-from . import _DEFAULT_SEED, _get_int, _get_seq, _rng, _seq_mismatches, _verdict, random_rational, random_unit
+from . import _DEFAULT_SEED, _rng, _seq_mismatches, _verdict, random_rational, random_unit
 
 
 def _seidel(values, op=operator.add) -> list[list]:
@@ -62,14 +62,9 @@ def _pair_mismatches(depth, den, sides):
 
 def _mn(params, depth, m_default, n_default) -> tuple[int, int]:
     """m and n for a single (m, n) check; a default shrinks, never below 0, until m + n <= depth."""
-    m = _get_int(params, "m", m_default)
-    n = _get_int(params, "n", n_default)
-    if "n" not in params:
-        n = max(0, min(n, depth - m))
-    if "m" not in params:
-        m = max(0, min(m, depth - n))
-    if m < 0 or n < 0:
-        raise ValueError("m and n must be >= 0")
+    m = params.get("m", m_default)
+    n = params.get("n", max(0, min(n_default, depth - m)))
+    m = params.get("m", max(0, min(m, depth - n)))
     if m + n > depth:
         raise ValueError("need depth >= m + n")
     return m, n
@@ -77,16 +72,15 @@ def _mn(params, depth, m_default, n_default) -> tuple[int, int]:
 
 def _table_input(params, depth) -> TruncSeq:
     """The f override, or a seeded random unit; the tables are read up to depth, so f must be that deep."""
-    f = _get_seq(params, "f") or random_unit(_rng(params), depth)
+    f = params.get("f") or random_unit(_rng(params), depth)
     if f.depth != depth:
         raise DepthMismatchError(f"f has depth {f.depth} but the check runs at depth {depth}")
     return f
 
 
 def _check_carlitz(params, depth):
-    m = _get_int(params, "m", 1)
-    n = _get_int(params, "n", 2)
-    B = _get_seq(params, "bernoulli") or bernoulli(m + n)
+    m, n = params.get("m", 1), params.get("n", 2)
+    B = params.get("bernoulli") or bernoulli(m + n)
     if B.depth < m + n:
         raise ValueError("bernoulli override too shallow")
     lhs = Fraction(-1) ** n * sum(binom(n, i) * B[m + i] for i in range(n + 1))
@@ -98,8 +92,8 @@ def _check_carlitz(params, depth):
 def _check_gould12(params, depth):
     m, n = _mn(params, depth, 2, 3)
     rng = _rng(params)
-    f = _get_seq(params, "f") or random_unit(rng, depth)
-    F = _get_seq(params, "F") or bullet(make_named("I", depth), f)
+    f = params.get("f") or random_unit(rng, depth)
+    F = params.get("F") or bullet(make_named("I", depth), f)
     lhs = sum(binom(n, i) * f[m + i] for i in range(n + 1))
     rhs = sum(binom(m, i) * Fraction(-1) ** (m - i) * F[n + i] for i in range(m + 1))
     mism = [((m, n), lhs, rhs)] if lhs != rhs else []
@@ -174,14 +168,14 @@ def _parity(f: TruncSeq, r: int, depth: int) -> TruncSeq:
 
 def _check_eq15(params, depth):
     # f(2k+1) = -sum_i C(2k+1, 2i+1) E1(2i+1) f(2k-2i), the odd entries of -(E1 odd) * (f even)
-    f = _get_seq(params, "f") or bernoulli(depth)
-    E1 = _get_seq(params, "euler1") or euler1(depth)
+    f = params.get("f") or bernoulli(depth)
+    E1 = params.get("euler1") or euler1(depth)
     rhs = bullet(_parity(E1, 1, depth), _parity(f, 0, depth))
     return _verdict("eq15", {}, depth, ((k, f[k], -rhs[k]) for k in range(1, depth + 1, 2) if f[k] != -rhs[k]))
 
 
 def _check_eq16(params, depth):
-    E1 = _get_seq(params, "euler1") or euler1(depth)
+    E1 = params.get("euler1") or euler1(depth)
     lhs = add(bullet(make_named("nu", depth), E1), E1)
     rhs = scale(2, make_named("e", depth))
     return _verdict("eq16", {}, depth, _seq_mismatches(lhs, rhs))
@@ -189,7 +183,7 @@ def _check_eq16(params, depth):
 
 def _check_eq18(params, depth):
     # f(2k) = -2/(2k+1) sum_i C(2k+1, 2i+1) B(2k-2i) f(2i+1), from entry 2k+1 of (B even) * (f odd)
-    f = _get_seq(params, "f") or bernoulli(depth)
+    f = params.get("f") or bernoulli(depth)
     P = bullet(_parity(bernoulli(depth), 0, depth), _parity(f, 1, depth))
 
     def mism():

@@ -16,7 +16,6 @@ from .poly import RatPoly
 from .seqcore import TruncSeq
 
 if TYPE_CHECKING:
-    from .dirichlet import DirSeq
     from .identities import IdentityReport
 
 
@@ -56,30 +55,6 @@ def obj_to_seq(obj: dict) -> tuple[str, TruncSeq]:
     seq = TruncSeq(value_from_json(v) for v in values)
     if seq.depth != depth:
         raise ValueError(f"depth field {depth} does not match {seq.depth + 1} values")
-    return str(name), seq
-
-
-def dirseq_to_obj(name: str, seq: DirSeq) -> dict:
-    return {
-        "name": name,
-        "bound": seq.bound,
-        "index_base": 1,
-        "values": [rat_to_pair(v) for v in seq.values],
-    }
-
-
-def obj_to_dirseq(obj: dict) -> tuple[str, DirSeq]:
-    from .dirichlet import DirSeq
-
-    try:
-        name = obj["name"]
-        bound = obj["bound"]
-        values = obj["values"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"not a Dirichlet sequence object: missing {exc}") from None
-    seq = DirSeq(pair_to_rat(v) for v in values)
-    if seq.bound != bound:
-        raise ValueError(f"bound field {bound} does not match {seq.bound} values")
     return str(name), seq
 
 

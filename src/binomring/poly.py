@@ -286,5 +286,4 @@ class RatPoly:
 
 
 ZERO = RatPoly()
-ONE = RatPoly.const(1)
 X = RatPoly.x()

@@ -328,6 +328,8 @@ def test_op_pow_and_root_bytes_on_polynomial_file(tmp_path, capsys):
     ("verify", "gould12", "--n", "-2"),
     ("verify", "eq31", "--m", "-3", "--n", "1"),
     ("verify", "eq31", "--n", "-1"),
+    ("verify", "carlitz", "--m", "-1", "--n", "2"),
+    ("verify", "carlitz", "--n", "-1"),
 ])
 def test_verify_negative_indices_exit_code(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -366,10 +368,10 @@ def test_table1_depth_beyond_published_table(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("verify", "carlitz", "--x", "5/3", "--k", "99"), "carlitz does not take 'k', 'x'; it takes m, n, bernoulli"),
+    (("verify", "carlitz", "--k", "99"), "carlitz does not take 'k'; it takes m, n, bernoulli"),
     (("verify", "eq25-iso", "--k", "-1"), "eq25-iso does not take 'k'; it takes seed, f, g"),
     (("verify", "prop10", "--n", "0"), "prop10 does not take 'n'; it takes seed, f, g"),
-    (("verify", "eq3", "--q", "7"), "eq3 does not take 'q'; it takes bernoulli"),
+    (("verify", "eq3", "--n", "7"), "eq3 does not take 'n'; it takes bernoulli"),
     (("verify", "eq20", "--m", "1"), "eq20 does not take 'm'; it takes no parameters"),
 ], ids=["carlitz", "eq25-iso", "prop10", "eq3", "eq20"])
 def test_verify_parameter_the_check_does_not_read(capsys, argv, message):
@@ -428,6 +430,7 @@ def test_mobius_bernoulli_large_n_stays_bounded(tmp_path, capsys):
     (("table1", "extra"), "error: table1 takes no arguments, got extra"),
     (("frobnicate",), "error: choose a command from gen, op, verify, table1, oeis-compare, got 'frobnicate'"),
     ((), "error: choose a command from gen, op, verify, table1, oeis-compare, got none"),
+    (("verify", "eq3", "--q", "7"), "error: option --q not recognized"),
 ])
 def test_bad_command_line_is_a_usage_error(tmp_path, capsys, argv, message):
     seq = tmp_path / "seq.json"
@@ -488,9 +491,9 @@ def test_verify_refuses_depth_for_a_check_that_never_reads_it(capsys, name):
 
 
 def test_verify_accepts_depth_for_every_check_that_reads_it(capsys):
-    from binomring.identities import reads_depth, registered_names
+    from binomring.identities import reads, registered_names
 
-    names = [name for name in registered_names() if reads_depth(name)]
+    names = [name for name in registered_names() if "depth" in reads(name)]
     assert len(names) == len(registered_names()) - 2
     for name in names:
         code, out, err = run(capsys, "verify", name, "--depth", "4")

@@ -100,6 +100,34 @@ def test_cor9_refuses_its_power_given_twice():
     assert check("cor9", {"p": 3}, 6).params["r"] == "3"
 
 
+DECLARED = [(name, word) for name, (_, words) in sorted(identities._TABLE.items()) for word in words.split()
+            if word != "depth"]
+
+
+@pytest.mark.parametrize("name, word", DECLARED, ids=[f"{name}-{word}" for name, word in DECLARED])
+def test_every_declared_parameter_is_validated(name, word):
+    # check() refuses the value before the check runs, whatever the check would have made of it
+    key = word.partition("!=")[0].partition(">=")[0]
+    kind = identities._KINDS.get(key, int)
+    refused = {int: [2.5, F(5, 2)], F: [0.5], TruncSeq: [[F(1), F(0), F(0)]]}[kind]
+    for value in refused:
+        with pytest.raises(ValueError, match=f"^{key} must be an? "):
+            check(name, {key: value}, 4)
+    if ">=" in word:
+        bound = int(word.partition(">=")[2])
+        with pytest.raises(ValueError, match=f"^{key} must be >= {bound}$"):
+            check(name, {key: bound - 1}, 4)
+    if "!=" in word:
+        with pytest.raises(ValueError, match=f"^{key} must be nonzero$"):
+            check(name, {key: 0}, 4)
+
+
+def test_exact_values_are_converted_to_their_kind():
+    assert check("eq9", {"n": F(2)}, 4) == check("eq9", {"n": 2}, 4)
+    given = check("eq23", {"a": 2, "b": "3", "c": 0, "n": "2"}, 4)
+    assert given == check("eq23", {"a": F(2), "b": F(3), "c": F(0), "n": 2}, 4)
+
+
 FAMILIES = ("inverse_power", "power_sums", "symmetric", "poly_symmetry", "convolution")
 
 

@@ -62,7 +62,7 @@ def test_verify_loads_one_identity_family(tmp_path, argv, wanted, unwanted):
     assert not loaded & unwanted
 
 
-@pytest.mark.parametrize("argv", [("verify", "eq1"), ("verify", "eq3", "--q", "7")], ids=["name", "parameter"])
+@pytest.mark.parametrize("argv", [("verify", "eq1"), ("verify", "eq3", "--n", "7")], ids=["name", "parameter"])
 def test_verify_usage_error_loads_no_family(tmp_path, argv):
     loaded = loaded_by(tmp_path, *argv, code=2)
     assert "binomring.identities" in loaded

@@ -4,13 +4,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from binomring.dirichlet import DirSeq
 from binomring.identities import check
 from binomring.jsonio import (
     BFileError,
-    dirseq_to_obj,
     dumps_canonical,
-    obj_to_dirseq,
     obj_to_seq,
     parse_bfile,
     report_to_obj,
@@ -56,14 +53,6 @@ def test_depth_field_validated():
     obj["depth"] = 7
     with pytest.raises(ValueError):
         obj_to_seq(obj)
-
-
-def test_dirseq_round_trip():
-    seq = DirSeq([F(1), F(-1, 2), F(3)])
-    obj = dirseq_to_obj("d", seq)
-    assert obj["index_base"] == 1 and obj["bound"] == 3
-    name, back = obj_to_dirseq(obj)
-    assert name == "d" and back == seq
 
 
 def test_report_to_obj_shapes():
