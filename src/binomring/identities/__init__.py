@@ -22,7 +22,8 @@ and eq29), then each parameter with its rule, such as ``n>=1`` or ``a!=0``.
 A parameter is a rational (a, b, c), a TruncSeq (the sequence overrides) or
 else an int. ``check`` is the one validator: it refuses an unknown name or a
 parameter the check does not read, converts each value to its kind (a float,
-or a non-integral int, is refused) and refuses one that breaks its rule.
+or a non-integral int, is refused) and refuses one that breaks its rule, or
+a sequence whose depth is not the depth of a check that reads it.
 Only then does it import the family module and call ``_check_<name>``
 (dashes become underscores) there, which reads ``params.get(key, default)``;
 a process that runs a single check loads only that family.
@@ -43,6 +44,7 @@ from fractions import Fraction
 from importlib import import_module
 from typing import Callable, Mapping, NamedTuple, Optional
 
+from ..errors import DepthMismatchError
 from ..seqcore import TruncSeq
 
 DEFAULT_DEPTH = 12
@@ -135,8 +137,10 @@ def _convert(key: str, value):
 
 def check(name: str, params: Mapping | None = None, depth: int = DEFAULT_DEPTH) -> IdentityReport:
     """Run a named check once its parameters pass its declaration. Unknown names raise KeyError; a negative depth,
-    a parameter the check does not read, or a value not of its kind or breaking its rule ValueError."""
-    keys = [key for key in reads(name) if key != "depth"]
+    a parameter the check does not read, or a value not of its kind or breaking its rule ValueError; a sequence whose
+    depth is not the run depth, in a check that reads the depth, DepthMismatchError."""
+    words = reads(name)
+    keys = [key for key in words if key != "depth"]
     if depth < 0:
         raise ValueError("depth must be >= 0")
     params = dict(params or {})
@@ -151,6 +155,8 @@ def check(name: str, params: Mapping | None = None, depth: int = DEFAULT_DEPTH) 
                 raise ValueError(f"{key} must be >= {bound}")
             if rule == "!=" and value == 0:
                 raise ValueError(f"{key} must be nonzero")
+            if isinstance(value, TruncSeq) and "depth" in words and value.depth != depth:
+                raise DepthMismatchError(f"{key} has depth {value.depth} but the check runs at depth {depth}")
     return _check_function(name)(params, depth)
 
 

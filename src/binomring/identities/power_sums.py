@@ -17,7 +17,7 @@ def _check_faulhaber(params, depth):
         # Faulhaber's sum_m C(k,m) B(m) ((n+1)^(k+1-m) - 1)/(k+1-m) against an injected (possibly
         # corrupted) Bernoulli sequence: the product B * h with h(j) = ((n+1)^(j+1) - 1)/(j+1)
         h = TruncSeq(Fraction((n + 1) ** (j + 1) - 1, j + 1) for j in range(depth + 1))
-        computed = bullet(TruncSeq(B[k] for k in range(depth + 1)), h)
+        computed = bullet(B, h)
     oracle = TruncSeq(power_sum_bruteforce(n, k) for k in range(depth + 1))
     return _verdict("faulhaber", {"n": n}, depth, _seq_mismatches(computed, oracle))
 

@@ -24,7 +24,9 @@ lcm of its denominators, the representation of FLINT's fmpq_poly
 (https://flintlib.org/doc/fmpq_poly.html), sum plain integer terms, and
 normalise each output entry once with Fraction(sum, den). ``_over_common``
 makes that representation and ``_widen`` extends it entry by entry under a
-running lcm. A TruncSeq holding any RatPoly keeps the generic ring loop.
+running lcm. Each kernel has one summation: ``_lift`` gives its inputs as
+integer numerators, or as the ring values themselves over 1 when any entry
+is a RatPoly, and ``_value`` turns each sum back into a ring value.
 """
 from __future__ import annotations
 
@@ -67,6 +69,18 @@ def _over_common(values) -> tuple[list[int], int]:
     """Fractions as integer numerators over the lcm of their denominators."""
     den = lcm(*[v.denominator for v in values])
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _lift(*seqs) -> list[tuple[list, int]]:
+    """(numerators, den) per seq: integers over its own lcm if all seqs hold only Fractions, else the values over 1."""
+    if all(_rational(s) for s in seqs):
+        return [_over_common(s) for s in seqs]
+    return [(list(s), 1) for s in seqs]
+
+
+def _value(x, den):
+    """The ring value of a sum x of lifted numerators over den: a Fraction from an int, else x as it is."""
+    return Fraction(x, den) if isinstance(x, int) else x
 
 
 def _widen(nums: list[int], den: int, v: Fraction) -> int:
@@ -231,37 +245,17 @@ def pointwise_mul(f: TruncSeq, g: TruncSeq) -> TruncSeq:
 def bullet(f: TruncSeq, g: TruncSeq) -> TruncSeq:
     """Binomial (Cauchy-type) product, truncated at the common depth."""
     _check_depths(f, g, "bullet")
-    fv, gv = f.values, g.values
-    if _rational(fv) and _rational(gv):
-        (a, da), (b, db) = _over_common(fv), _over_common(gv)
-        den = da * db
-        return TruncSeq(Fraction(sum(map(mul, map(mul, _pascal_row(k), a), b[k::-1])), den)
-                        for k in range(len(a)))
-    out = []
-    for k in range(len(fv)):
-        row = _pascal_row(k)
-        total = fv[0] * gv[k]
-        for m in range(1, k + 1):
-            total = total + row[m] * fv[m] * gv[k - m]
-        out.append(total)
-    return TruncSeq(out)
+    (a, da), (b, db) = _lift(f, g)
+    den = da * db
+    return TruncSeq(_value(sum(map(mul, map(mul, _pascal_row(k), a), b[k::-1])), den) for k in range(len(a)))
 
 
 def cauchy(f: TruncSeq, g: TruncSeq) -> TruncSeq:
     """Unweighted Cauchy product (f o g)(k) = sum f(m) g(k-m)."""
     _check_depths(f, g, "cauchy")
-    fv, gv = f.values, g.values
-    if _rational(fv) and _rational(gv):
-        (a, da), (b, db) = _over_common(fv), _over_common(gv)
-        den = da * db
-        return TruncSeq(Fraction(sum(map(mul, a, b[k::-1])), den) for k in range(len(a)))
-    out = []
-    for k in range(len(fv)):
-        total = fv[0] * gv[k]
-        for m in range(1, k + 1):
-            total = total + fv[m] * gv[k - m]
-        out.append(total)
-    return TruncSeq(out)
+    (a, da), (b, db) = _lift(f, g)
+    den = da * db
+    return TruncSeq(_value(sum(map(mul, a, b[k::-1])), den) for k in range(len(a)))
 
 
 def binomial_transform(f: TruncSeq) -> TruncSeq:

@@ -15,8 +15,7 @@ from math import factorial
 from operator import mul
 
 from .poly import RatPoly, X, _canonical
-from .seqcore import (TruncSeq, _over_common, _pascal_row, add, binom, bullet, make_eps, make_named, make_xi,
-                      scale, sub)
+from .seqcore import TruncSeq, _over_common, _pascal_row, add, binom, bullet, make_eps, make_named, scale, sub
 from .units import inverse, power_rat
 
 
@@ -90,38 +89,37 @@ def euler_poly(depth: int) -> TruncSeq:
     return _appell(scale(2, inverse(add(make_named("I", K), make_named("e", K)))))
 
 
-@lru_cache(maxsize=None)
-def sigma(depth: int) -> TruncSeq:
-    """Shifted power-sum polynomials: (n+1) sigma_x(n) = (B_poly(x+1) - B)(n+1).
-
-    At integer x >= 0 the entry n evaluates to e(n) + 1^n + ... + x^n; the
-    n = 0 entry is x + 1, one more than the bare power sum (the k = 0 power
-    sum counts from 1). Use power_sum_poly for the oracle-aligned variant.
-    """
-    B = bernoulli(depth + 1)
-    Bx1 = bullet(B, make_eps(X + 1, depth + 1))
-    diff = sub(Bx1, B)
-    return TruncSeq(diff[n + 1] / (n + 1) for n in range(depth + 1))
-
-
-def sigma_eval(y, depth: int) -> TruncSeq:
-    """Numeric sigma_y(0..depth) at a rational point y."""
-    y = Fraction(y)
+def _sigma(y, depth: int) -> TruncSeq:
+    """Entry n is (B_{n+1}(y+1) - B_{n+1})/(n+1), for y a Fraction or the indeterminate X."""
     B = bernoulli(depth + 1)
     By1 = bullet(B, make_eps(y + 1, depth + 1))
     return TruncSeq((By1[n + 1] - B[n + 1]) / (n + 1) for n in range(depth + 1))
 
 
 @lru_cache(maxsize=None)
+def sigma(depth: int) -> TruncSeq:
+    """Shifted power-sum polynomials: (n+1) sigma_x(n) = (B_poly(x+1) - B)(n+1).
+
+    At integer x >= 0 the entry n evaluates to e(n) + 1^n + ... + x^n; the
+    n = 0 entry is x + 1, one more than the bare power sum (the k = 0 power
+    sum counts from 1). power_sum_poly is this minus e.
+    """
+    return _sigma(X, depth)
+
+
+def sigma_eval(y, depth: int) -> TruncSeq:
+    """Numeric sigma_y(0..depth) at a rational point y, from the same formula as sigma."""
+    return _sigma(Fraction(y), depth)
+
+
+@lru_cache(maxsize=None)
 def power_sum_poly(depth: int) -> TruncSeq:
     """Entry k is the Faulhaber polynomial S_x(k) with S_N(k) = 1^k + ... + N^k.
 
-    Computed as bullet(B, xi_{x+1,1}) - e over RatPoly; differs from the
-    sigma family only at k = 0 (S_x(0) = x, sigma_x(0) = x + 1).
+    Computed as sigma - e; differs from the sigma family only at k = 0
+    (S_x(0) = x, sigma_x(0) = x + 1).
     """
-    B = bernoulli(depth)
-    xs = make_xi(X + 1, 1, depth)
-    return sub(bullet(B, xs), make_named("e", depth))
+    return sub(sigma(depth), make_named("e", depth))
 
 
 def power_sum_bruteforce(n: int, k: int) -> Fraction:
@@ -132,22 +130,14 @@ def power_sum_bruteforce(n: int, k: int) -> Fraction:
 
 
 def faulhaber(n: int, depth: int) -> TruncSeq:
-    """Power sums via the Bernoulli-number formula.
+    """Power sums 1^k + ... + n^k for k = 0..depth via the Bernoulli numbers: sigma_eval(n) - e.
 
-    Entry k = sum_{m=0}^{k} C(k,m) B(m) ((n+1)^(k+1-m) - 1)/(k+1-m), equal to
+    Entry k is (B_{k+1}(n+1) - B_{k+1})/(k+1) less e(k), equal to
     power_sum_bruteforce(n, k) for every k.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    B = bernoulli(depth)
-    out = []
-    for k in range(depth + 1):
-        total = Fraction(0)
-        for m in range(k + 1):
-            e = k + 1 - m
-            total += binom(k, m) * B[m] * Fraction((n + 1) ** e - 1, e)
-        out.append(total)
-    return TruncSeq(out)
+    return sub(sigma_eval(n, depth), make_named("e", depth))
 
 
 def norlund(p: int, q: int, depth: int) -> TruncSeq:

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .errors import NotAUnitError, NotInvertibleInRingError, RootNotRepresentableError
 from .poly import RatPoly
-from .seqcore import TruncSeq, _over_common, _pascal_row, _rational, _widen, bullet, make_eps, make_named, scale
+from .seqcore import TruncSeq, _lift, _pascal_row, _widen, bullet, make_eps, make_named, scale
 
 
 def _unit_reciprocal(v) -> Fraction:
@@ -95,10 +95,11 @@ def power_rat(f: TruncSeq, p: int, q: int) -> TruncSeq:
 
     with C(k-1,k) = 0 and g(0) the rational q-th root of f(0)^p. At p/q = -1
     the coefficient is -C(k,i), the usual inverse loop. Cost is O(K^2) ring
-    operations whatever p and q are; for Fraction sequences the sums run over
-    integer numerators, g's kept over a running lcm (seqcore's
-    common-denominator kernel). Positive integer powers keep repeated
-    squaring, the only route defined when f(0) is not a unit.
+    operations whatever p and q are. One sum serves both rings: it runs over
+    integer numerators for Fraction sequences, g's kept over a running lcm
+    (seqcore's common-denominator kernel), and over the ring values
+    otherwise, each g(k) then scaled by 1/(q f(0)). Positive integer powers
+    keep repeated squaring, the only route defined when f(0) is not a unit.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -114,29 +115,27 @@ def power_rat(f: TruncSeq, p: int, q: int) -> TruncSeq:
         return power_int(f, p)
     f0 = lead.constant_value() if isinstance(lead, RatPoly) else lead
     g = [_rat_mth_root(f0 ** p, q)]
-    fv = f.values
-    if _rational(fv):
+    (a, _), = _lift(f)
+    rational = isinstance(a[0], int)
+    if rational:
         # integer numerators: f = a/da, g = G/den; the da of both sides cancels
-        a, _ = _over_common(fv)
-        qa0, tail = q * a[0], a[1:]
-        G, den = [g[0].numerator], g[0].denominator
-        for k in range(1, len(a)):
-            row = _pascal_row(k - 1)
-            coef = map(sub, map(p.__mul__, row), map(q.__mul__, row[1:] + (0,)))
-            gk = Fraction(sum(map(mul, map(mul, coef, tail), G[::-1])), qa0 * den)
-            g.append(gk)
-            den = _widen(G, den, gk)
-        return TruncSeq(g)
-    inv = Fraction(1, 1) / (q * f0)
-    if isinstance(lead, RatPoly) and p not in (1, -1):
-        # f(0) is a factor of every entry k >= 1 of f^p, so they stay polynomials
-        inv = RatPoly.const(inv)
-    for k in range(1, len(fv)):
+        G, den, qa0 = [g[0].numerator], g[0].denominator, q * a[0]
+    else:
+        G, inv = g, Fraction(1, 1) / (q * f0)
+        if isinstance(lead, RatPoly) and p not in (1, -1):
+            # f(0) is a factor of every entry k >= 1 of f^p, so they stay polynomials
+            inv = RatPoly.const(inv)
+    tail = a[1:]
+    for k in range(1, len(a)):
         row = _pascal_row(k - 1)
-        total = p * fv[k] * g[0]  # the i = k term, where C(k-1,k) = 0
-        for i in range(1, k):
-            total = total + (p * row[i - 1] - q * row[i]) * fv[i] * g[k - i]
-        g.append(total * inv)
+        coef = map(sub, map(p.__mul__, row), map(q.__mul__, row[1:] + (0,)))
+        total = sum(map(mul, map(mul, coef, tail), G[::-1]))
+        if rational:
+            gk = Fraction(total, qa0 * den)
+            den = _widen(G, den, gk)
+        else:
+            gk = total * inv  # G is g, so the append below extends it
+        g.append(gk)
     return TruncSeq(g)
 
 

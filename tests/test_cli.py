@@ -1,4 +1,5 @@
 """CLI behaviour: formats, exit codes, round trips."""
+import hashlib
 import io
 import json
 import os
@@ -589,3 +590,69 @@ def test_failed_final_flush_exits_120(tmp_path, stream):
     assert ended == ended_by("sys.exit(main())")
     if stream == "stdout":
         assert ended[2].decode().endswith("BrokenPipeError: [Errno 32] Broken pipe\n")
+
+
+# Byte pins: the exit code and the sha256 of stdout for every generator, bernoulli and sigma as csv, and every
+# op on three files. CLI output for unchanged inputs stays byte-identical, so a kernel or serialisation change
+# that alters any byte fails here. R is a rational file, P the Bernoulli polynomials to depth 10 and M a file
+# mixing rationals and polynomials; each lead is 4 or 1, so roots and rational powers exist.
+PIN_FILES = {
+    "R": '{"name":"r","depth":10,"values":[["4","1"],["-1","2"],["1","3"],["0","1"],["5","7"],["-2","9"],'
+         '["1","11"],["3","13"],["-7","17"],["0","1"],["1","19"]]}',
+    "M": '{"name":"m","depth":6,"values":[["4","1"],[["-1","2"],["1","1"]],["1","3"],[["0","1"],["0","1"],'
+         '["3","5"]],["5","7"],[["2","1"],["-1","3"]],["-1","9"]]}',
+}
+PINNED = {
+    "gen e --depth 24": (0, 'f90866544503159c0a8bcd55938e8482a02d3c56b4f86e973269e0a06ae1baa8'),
+    "gen I --depth 24": (0, 'cc3ac04c3cf2b4c11500b8b32804facc19596f73b4c9a33d9450ae15cf90630d'),
+    "gen nu --depth 24": (0, '1df78884e890c20295f916392843f32d930036473541de0f7b0ca9a4a8194023'),
+    "gen eps --x -2/3 --depth 24": (0, '157ab0e8cd3aaa10476c62aa530a75b30b27d12dd2ea143ba47e0db2928c6561'),
+    "gen xi1 --depth 24": (0, '4125731e23799c3a3ad1c1cda98e897d098443cd4ede5d610a4946bd10b2e8f0'),
+    "gen xi --x 3/2 --m 2 --depth 24": (0, 'ea8f4cbc0c9463f03f88024418b5c69330bdd164e81849d7ab28482cd7c3d1fc'),
+    "gen bernoulli --depth 24": (0, 'f10616b513e1ba4a48fb01877620d36b074e5ea50ddc36dbcf497ea82f8bf219'),
+    "gen bernoulli-poly --depth 24": (0, '92bf1b9e7717e7b41789764da732fe48215077cd99a5101356fdfe9343532a0c'),
+    "gen euler1 --depth 24": (0, '8709a6710b6b7b800fc977f2fcb859ca2ce947ca6ae9c6c85a9237fcd51fa706'),
+    "gen euler-poly --depth 24": (0, 'a996a7e595b98f7eb3186a5706fdb0cf4b9fcb72daaa7114e2b3ea46d6a3d3a0'),
+    "gen norlund --p 1 --q 2 --depth 24": (0, '250989ffb4ff78c1b8099314a03adeecd2ed99e4289fe9f1a34931cc8fe7179c'),
+    "gen faulhaber --n 10 --depth 24": (0, 'fccc61ff0fce6dcf81a1f81273a95bee5afb96dd5e50a77d2c86b3ef465f27ab'),
+    "gen mobius-bernoulli --n 12 --depth 24": (0, 'aa1347358bd081cdf91aded5769a5b16723ffa35e6af593a21cb8bdc9dde62ad'),
+    "gen sigma --depth 24": (0, 'e589fe926f141b3c02b789cd85d0b63ca28939c166d58959729dd633fec82720'),
+    "gen bernoulli --depth 24 --format csv": (0, 'a8e8fee5ce421429db35a94f56b2ff29008bdaa90db6e061f318d2e79cb0a245'),
+    "gen sigma --depth 24 --format csv": (0, '6de255ab2e9c7cf835f1ba90c8097be6f6e61fbd91dcf43679be76ab77cad47b'),
+    "op bullet R R": (0, '0c393cbbdfecadeb9157bb2f8f6434e66b6e8690b5fe064606bbfbbd7db4224a'),
+    "op cauchy R R": (0, '1d3a17435aaa2e81688d52f0c8a3889669a93238c6d7d5cfb5dbf577e29449ee'),
+    "op invert R": (0, 'c0b28e45f6d983debe36a4cadc6ae0be6a71563a4dc6f123b0cadaed3d3e29a8'),
+    "op root R --m 2": (0, '36a09289d3aa0256acb1ed8d7dbf7c2442b9fd77345de7769db92b8629f3c601'),
+    "op pow R --p -3 --q 2": (0, '675d42cc9e4494fc00d437f4afeb70826b1bef5237bd96c7dae63702fb033988'),
+    "op pow R --p 2": (0, '0c393cbbdfecadeb9157bb2f8f6434e66b6e8690b5fe064606bbfbbd7db4224a'),
+    "op transform R": (0, '6f9602496c8398c775eb5d803c1f40dce14be27dbee2c19e95ce6b0b45543a67'),
+    "op invert-transform R": (0, '5fd56a23028016b9c18de2f720ff565293b1888b52c75c8f3b0f82079cfb39b1'),
+    "op decompose R": (0, '78c6d2e4aef87e1bb8a87c7a0880f4b6e7d5fd2f12505711e324e6724f9fbce6'),
+    "op bullet P P": (0, '175b2191f915d1fb2a2858d69e6b1d32087c89c5c43841d078034a3589b9613d'),
+    "op cauchy P P": (0, '19b5592ece11004c533639990db6b554d4b31c16319c0c4a15409378efaadcf8'),
+    "op invert P": (0, '839ccc64611b0ac6b56d29e515021c57c0621e8bf05b84b91dbf57de1273eead'),
+    "op root P --m 2": (0, '8934c5a53fa70742e45201def9439ca4940651069e37700d232c14d78600c3d5'),
+    "op pow P --p -3 --q 2": (0, '131919b3e7b63024072f1c38a59a245915bdcca91e93196ab275ce9a5a831c78'),
+    "op pow P --p 2": (0, '175b2191f915d1fb2a2858d69e6b1d32087c89c5c43841d078034a3589b9613d'),
+    "op transform P": (0, 'ad8719c5daac955cfae540e77cd6a34f079ac6b2c148e1c75a544257d80518e3'),
+    "op invert-transform P": (0, 'bc75f90d15d38304ef63123079a585d735aaa4e567d1179d9de315a0d2bbbb59'),
+    "op decompose P": (0, '913f3e10ddb3604e3e205492ceed0f7a6cdea434c3022259d41bf93d6fc58728'),
+    "op bullet M M": (0, '1fd5da36d70eefc2c6bddf2a72c8a330b9ad503b51bc796759128d8de66a3b1e'),
+    "op cauchy M M": (0, '596f344b8cc548fa9ee15b387174e50b2c2792565ba60c8aac9d3290e93d0ea0'),
+    "op invert M": (0, '15b6efdab52ff15f166cf34c9f5509faa5dd89411be3752075d93d26bb297704'),
+    "op root M --m 2": (0, 'b6ff9af8e1754af8fe56e04f26fc634a01228bb257e609dcb0b6c193743d3564'),
+    "op pow M --p -3 --q 2": (0, '4ec2e5980bb186a15dd1e7a120f61b6f0e85a600a3d19e3ca79eb386a9bfebee'),
+    "op pow M --p 2": (0, '1fd5da36d70eefc2c6bddf2a72c8a330b9ad503b51bc796759128d8de66a3b1e'),
+    "op transform M": (0, '24aace698f6bc96a1d7e95b2d9ab12eacdb4be739d391aa2e40502ce4ee5ebb8'),
+    "op invert-transform M": (0, '6fc7351b2c2022f8a8e79cde8c200ca699f5f2752a23b994e89a23736be5a18e'),
+    "op decompose M": (0, 'ee7029addddda195838ce9238d866e1c5192f9c8f480b65a85a58d4b77023466'),
+}
+
+
+@pytest.mark.parametrize("argv", PINNED)
+def test_output_bytes_are_pinned(argv, tmp_path, capsys):
+    for name, text in PIN_FILES.items():
+        (tmp_path / name).write_text(text)
+    run(capsys, "gen", "bernoulli-poly", "--depth", "10", "--output", str(tmp_path / "P"))
+    code, out, _ = run(capsys, *(str(tmp_path / a) if a in ("R", "P", "M") else a for a in argv.split()))
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == PINNED[argv]

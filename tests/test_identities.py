@@ -66,6 +66,23 @@ def test_table_checks_refuse_an_f_of_another_depth(name, f_depth):
         check(name, {"f": bernoulli(f_depth)}, 12)
 
 
+SEQUENCE_PARAMS = [(name, key) for name in registered_names() for key in identities.reads(name)
+                   if identities._KINDS.get(key) is TruncSeq and "depth" in identities.reads(name)]
+
+
+@pytest.mark.parametrize("name, key", SEQUENCE_PARAMS, ids=[f"{name}-{key}" for name, key in SEQUENCE_PARAMS])
+@pytest.mark.parametrize("seq_depth", [3, 12])
+def test_a_sequence_of_another_depth_is_refused(name, key, seq_depth):
+    with pytest.raises(DepthMismatchError, match=f"^{key} has depth {seq_depth} but the check runs at depth 8$"):
+        check(name, {key: bernoulli(seq_depth)}, 8)
+
+
+def test_carlitz_reads_no_depth_and_takes_a_deeper_bernoulli():
+    assert check("carlitz", {"bernoulli": bernoulli(12)}, 8).passed
+    with pytest.raises(ValueError, match="too shallow"):
+        check("carlitz", {"m": 2, "n": 3, "bernoulli": bernoulli(4)})
+
+
 @pytest.mark.parametrize("name, params, key", [
     ("eq23", {"a": 0, "b": 1, "c": 1}, "a"), ("eq23", {"a": 1, "b": 0, "c": 1}, "b"),
     ("eq24", {"a": 0, "b": F(2)}, "a"), ("eq24", {"a": F(3), "b": 0}, "b"),

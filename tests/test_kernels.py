@@ -153,7 +153,8 @@ def test_gamma_twisted_conv_matches_divisor_sum(fgc):
     assert gamma_twisted_conv(f, g, gamma) == ref_dirichlet_conv(f, g, weight)
 
 
-# Sequences holding a RatPoly keep the ring loop, with its per-entry types.
+# Sequences holding a RatPoly run the same sums over the ring values, with the entry types of term-by-term
+# ring arithmetic.
 
 MIXED = TruncSeq([F(1), F(1, 2), X, F(3)])
 RATIONAL = TruncSeq([F(2), F(0), F(1, 3), F(-1)])
@@ -186,3 +187,43 @@ def test_mixed_powers_keep_entry_types(p, q, mixed, poly_lead):
     assert "".join(kinds(power_rat(POLY_LEAD, p, q))) == poly_lead
     if q > 1 or p < 0:
         assert power_rat(MIXED, p, q) == ref_power_rat(MIXED, p, q, F(1))
+
+
+rats = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+polys = st.lists(rats, max_size=3).map(RatPoly)
+
+
+@st.composite
+def ring_pairs(draw):
+    """Two sequences of one depth, each all RatPoly or mixing RatPolys and Fractions."""
+    K = draw(st.integers(0, 10))
+    f, g = (draw(st.lists(draw(st.sampled_from((polys, st.one_of(rats, polys)))), min_size=K + 1, max_size=K + 1))
+            for _ in range(2))
+    return TruncSeq(f), TruncSeq(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ring_pairs())
+def test_ring_products_match_reference(fg):
+    f, g = fg
+    for out, ref in ((bullet(f, g), ref_bullet(f, g)), (cauchy(f, g), ref_cauchy(f, g))):
+        assert out == ref
+        assert kinds(out) == kinds(ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ring_pairs(), st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+       st.tuples(st.integers(-4, 4).filter(bool), st.integers(1, 4)).filter(lambda pq: pq[0] < 0 or pq[1] > 1),
+       st.booleans())
+def test_ring_power_rat_matches_reference(fg, c, pq, poly_lead):
+    # the Miller route (q > 1 or p < 0) on a lead c^q, a Fraction or a constant RatPoly; g(0) = r^p as above
+    p, q = pq
+    tail = list(fg[0])[1:]
+    f = TruncSeq([RatPoly.const(c ** q) if poly_lead else c ** q] + tail)
+    r = abs(c) if q % 2 == 0 else c
+    out = power_rat(f, p, q)
+    ref = ref_power_rat(TruncSeq([c ** q] + tail), p, q, r ** p)
+    assert out == ref
+    # a constant-RatPoly lead makes every later entry a RatPoly unless p = +-1; otherwise types follow the sums
+    widened = poly_lead and p not in (1, -1)
+    assert kinds(out) == kinds(ref)[:1] + ["P" if widened else kind for kind in kinds(ref)[1:]]
