@@ -8,10 +8,13 @@ oeis-compare (diff a sequence against a local OEIS b-file).
 Three tables drive the command line. COMMANDS maps each command to its
 handler, positionals, the flags it reads and its default depth; GENERATORS
 and OPERATIONS map each gen and op name to its builder and the flags that
-builder reads. getopt parses only the chosen command's flags, so
-a flag that the command, its generator or operation, or the identity check
-does not read is a usage error, never dropped. -h/--help prints usage built
-from the tables. No library module loads before the command line is accepted.
+builder reads, and GENERATORS marks the polynomial-valued generators, which
+gen refuses to write as a b-file before building anything. getopt parses
+only the chosen command's flags, so a flag that the command, its generator
+or operation, or the identity check does not read is a usage error, never
+dropped. -h/--help prints usage built from the tables. No library module
+loads before the command line is accepted, and then only those the command
+runs: binomring.poly only where a polynomial is built or read.
 
 Exit codes: 0 success/pass, 1 identity or comparison failure, 2 usage
 error, 3 mathematical domain error (non-unit input, unrepresentable root,
@@ -58,22 +61,22 @@ def __getattr__(name):
 FLAGS = {"depth": "K", "format": "json|csv|bfile", "output": "FILE", "transform": "numerator|denominator",
          "p": "INT", "q": "INT", "m": "INT", "n": "INT", "k": "INT", "x": "NUM[/DEN]"}
 
-# generator -> (its sequence from the flags o at depth K, the flags it reads)
+# generator -> (its sequence from the flags o at depth K, the flags it reads, whether its values are polynomials)
 GENERATORS = {
-    "e": (lambda o, K: lib.make_named("e", K), ""),
-    "I": (lambda o, K: lib.make_named("I", K), ""),
-    "nu": (lambda o, K: lib.make_named("nu", K), ""),
-    "eps": (lambda o, K: lib.make_eps(o["x"], K), "x"),
-    "xi1": (lambda o, K: lib.make_named("xi1", K), ""),
-    "xi": (lambda o, K: lib.make_xi(o["x"], o["m"], K), "x m"),
-    "bernoulli": (lambda o, K: lib.bernoulli(K), ""),
-    "bernoulli-poly": (lambda o, K: lib.bernoulli_poly(K), ""),
-    "euler1": (lambda o, K: lib.euler1(K), ""),
-    "euler-poly": (lambda o, K: lib.euler_poly(K), ""),
-    "norlund": (lambda o, K: lib.norlund(o["p"], o["q"], K), "p q"),
-    "faulhaber": (lambda o, K: lib.faulhaber(o["n"], K), "n"),
-    "mobius-bernoulli": (lambda o, K: lib.mobius_bernoulli(o["n"], K), "n"),
-    "sigma": (lambda o, K: lib.sigma(K), ""),
+    "e": (lambda o, K: lib.make_named("e", K), "", False),
+    "I": (lambda o, K: lib.make_named("I", K), "", False),
+    "nu": (lambda o, K: lib.make_named("nu", K), "", False),
+    "eps": (lambda o, K: lib.make_eps(o["x"], K), "x", False),
+    "xi1": (lambda o, K: lib.make_named("xi1", K), "", False),
+    "xi": (lambda o, K: lib.make_xi(o["x"], o["m"], K), "x m", False),
+    "bernoulli": (lambda o, K: lib.bernoulli(K), "", False),
+    "bernoulli-poly": (lambda o, K: lib.bernoulli_poly(K), "", True),
+    "euler1": (lambda o, K: lib.euler1(K), "", False),
+    "euler-poly": (lambda o, K: lib.euler_poly(K), "", True),
+    "norlund": (lambda o, K: lib.norlund(o["p"], o["q"], K), "p q", False),
+    "faulhaber": (lambda o, K: lib.faulhaber(o["n"], K), "n", False),
+    "mobius-bernoulli": (lambda o, K: lib.mobius_bernoulli(o["n"], K), "n", True),
+    "sigma": (lambda o, K: lib.sigma(K), "", True),
 }
 
 # operation -> (its result from the flags o and the input sequences, the flags it reads); decompose
@@ -150,22 +153,26 @@ def _emit(opts, text: str) -> None:
         raise UsageError(f"cannot write {opts['output']}: {exc}") from None
 
 
+def _refuse_bfile(opts, poly: bool) -> None:
+    if poly and opts.get("format") == "bfile":
+        raise UsageError("bfile format supports only rational-valued sequences")
+
+
 def _serialize(opts, name: str, seq: TruncSeq) -> str:
     from . import jsonio
-    from .poly import RatPoly
+    from .seqcore import _is_poly
 
     fmt = opts.get("format", "json")
     if fmt == "json":
         return jsonio.dumps_canonical(jsonio.seq_to_obj(name, seq))
-    poly = any(isinstance(v, RatPoly) for v in seq)
+    poly = any(map(_is_poly, seq))
+    _refuse_bfile(opts, poly)
     if fmt == "bfile":
-        if poly:
-            raise UsageError("bfile format supports only rational-valued sequences")
         return "\n".join(f"{k} {v}" for k, v in enumerate(seq))
     lines = ["k,poly" if poly else "k,numerator,denominator"]
     for k, v in enumerate(seq):
         if poly:
-            coeffs = v.coeffs if isinstance(v, RatPoly) else (v,)
+            coeffs = v.coeffs if _is_poly(v) else (v,)
             lines.append(f"{k},{' '.join(str(c) for c in coeffs)}")
         else:
             lines.append(f"{k},{v.numerator},{v.denominator}")
@@ -193,7 +200,9 @@ def _load_seq(path: str) -> tuple[str, TruncSeq]:
 
 def cmd_gen(opts, name) -> int:
     depth = _check_depth(opts["depth"])
-    _emit(opts, _serialize(opts, name, GENERATORS[name][0](opts, depth)))
+    build, _, poly = GENERATORS[name]
+    _refuse_bfile(opts, poly)  # before the sequence is built
+    _emit(opts, _serialize(opts, name, build(opts, depth)))
     return 0
 
 
@@ -231,38 +240,20 @@ def cmd_verify(opts, name) -> int:
 
 def cmd_table1(opts) -> int:
     depth = _check_depth(opts["depth"])
-    from .roots_table import PUBLISHED_ROOT_ROWS, TABLE_DEPTH, root_table_cells
+    from .roots_table import TABLE_DEPTH, _print_table1
 
     if depth > TABLE_DEPTH:
         raise UsageError(f"table1 depth {depth} exceeds the published table's depth {TABLE_DEPTH}")
-    cells = root_table_cells(depth)
-    widths = (3, 26, 26, 10)
-    print(f"{'m,k':>{widths[0]}} {'computed':>{widths[1]}} {'published':>{widths[2]}} {'status':>{widths[3]}}")
-    consistent = True
-    diffs = 0
-    for cell in cells:
-        if not cell.matches_oracle:
-            consistent = False
-            status = "ORACLE-DIFF"
-        elif cell.matches_published:
-            status = "ok"
-        else:
-            status = "DIFF"
-            diffs += 1
-        print(f"{cell.m},{cell.k:>1} {str(cell.computed):>{widths[1]}} "
-              f"{str(cell.published):>{widths[2]}} {status:>{widths[3]}}")
-    print(f"rows m in {sorted(PUBLISHED_ROOT_ROWS)}; {diffs} published cells differ from "
-          f"the computed/oracle values")
-    return 0 if consistent else 1
+    return 0 if _print_table1(depth) else 1
 
 
 def cmd_oeis_compare(opts, sequence, bfile) -> int:
     transform = opts["transform"]
     name, seq = _load_seq(sequence)
     from . import jsonio
-    from .poly import RatPoly
+    from .seqcore import _is_poly
 
-    if any(isinstance(v, RatPoly) for v in seq):
+    if any(map(_is_poly, seq)):
         raise UsageError("oeis-compare needs a rational-valued sequence")
     try:
         with open(bfile, encoding="utf-8") as fh:
@@ -304,7 +295,7 @@ def _usage() -> str:
         default = f"(default --depth {depth})" if depth is not None else ""
         lines.append("  " + " ".join(filter(None, (command, positionals, _flag_usage(flags), default))))
     for title, table in (("gen GENERATOR also reads", GENERATORS), ("op OPERATION also reads", OPERATIONS)):
-        lines += ["", f"{title}:"] + [f"  {name} {_flag_usage(flags)}".rstrip() for name, (_, flags) in table.items()]
+        lines += ["", f"{title}:"] + [f"  {name} {_flag_usage(row[1])}".rstrip() for name, row in table.items()]
     lines += ["", "-o is short for --output. TOOL_MAX_DEPTH (default 256) caps --depth. Exit codes: 0 pass,",
               "1 comparison failed, 2 usage error, 3 domain error."]
     return "\n".join(lines)
@@ -314,8 +305,8 @@ def _parse(command: str, argv: list) -> list | None:
     """The handler's arguments, the flags and then the positionals, checked against the tables; None for --help."""
     _, positionals, flags, depth, table = COMMANDS[command]
     names = flags.split()
-    for _, reads in (table or {}).values():
-        names += [f for f in reads.split() if f not in names]
+    for row in (table or {}).values():
+        names += [f for f in row[1].split() if f not in names]
     short = "ho:" if "output" in names else "h"
     # getopt.getopt stops at each positional: take it and read on, so flags may follow positionals
     # whatever the environment (gnu_getopt would stop for good if POSIXLY_CORRECT were set)

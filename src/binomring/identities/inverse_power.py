@@ -1,10 +1,9 @@
-"""Bernoulli / inverse-power family: eq3, eq9 and the two k = 0 instances of eq9."""
+"""Bernoulli / inverse-power family: eq3, eq9 and the two k = 0 instances of eq9 (which load binomring.poly)."""
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
 
-from ..poly import RatPoly
 from ..seqcore import TruncSeq, bullet, make_named
 from ..special import ber_inv_pow, bernoulli, bernoulli_poly
 from ..units import power_int
@@ -26,6 +25,8 @@ def _check_eq9(params, depth):
 
 
 def _check_eq9_k0_a(params, depth):
+    from ..poly import RatPoly
+
     nmax = params.get("n", max(min(depth, 8), 1))
 
     def mism():
@@ -41,6 +42,8 @@ def _check_eq9_k0_a(params, depth):
 
 
 def _check_eq9_k0_b(params, depth):
+    from ..poly import RatPoly
+
     alpha_max = params.get("alpha", 3)
     nmax = params.get("n", max(min(depth, 8), 1))
 

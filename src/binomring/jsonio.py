@@ -4,7 +4,8 @@ Rationals travel as [numerator, denominator] pairs of decimal strings so
 arbitrarily large values survive any JSON reader; polynomial values are
 lists of such pairs (constant coefficient first). Serialization is
 canonical: rationals reduced with positive denominator, keys in fixed
-order, compact separators, so equal values produce identical bytes.
+order, compact separators, so equal values produce identical bytes. Only
+a file that holds a polynomial value loads binomring.poly.
 """
 from __future__ import annotations
 
@@ -12,8 +13,9 @@ import json
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .poly import RatPoly
-from .seqcore import TruncSeq
+import binomring as lib  # lib.RatPoly loads binomring.poly on first use
+
+from .seqcore import TruncSeq, _is_poly
 
 if TYPE_CHECKING:
     from .identities import IdentityReport
@@ -30,14 +32,14 @@ def pair_to_rat(pair) -> Fraction:
 
 
 def value_to_json(v):
-    if isinstance(v, RatPoly):
+    if _is_poly(v):
         return [rat_to_pair(c) for c in v.coeffs]
     return rat_to_pair(v)
 
 
 def value_from_json(obj):
     if isinstance(obj, list) and (not obj or isinstance(obj[0], list)):
-        return RatPoly(pair_to_rat(p) for p in obj)
+        return lib.RatPoly(pair_to_rat(p) for p in obj)
     return pair_to_rat(obj)
 
 

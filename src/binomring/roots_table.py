@@ -58,3 +58,18 @@ def root_table_cells(depth: int = TABLE_DEPTH) -> list[RootCell]:
         for k in range(min(depth, TABLE_DEPTH) + 1):
             cells.append(RootCell(m, k, computed[k], oracle[k], Fraction(row[k])))
     return cells
+
+
+def _print_table1(depth: int) -> bool:
+    """Print every cell at depth <= TABLE_DEPTH beside its published value; False if one differs from its oracle."""
+    cells = root_table_cells(depth)
+    print(f"{'m,k':>3} {'computed':>26} {'published':>26} {'status':>10}")
+    diffs = 0
+    for cell in cells:
+        status = "ok" if cell.matches_published else "DIFF"
+        if not cell.matches_oracle:
+            status = "ORACLE-DIFF"
+        diffs += status == "DIFF"
+        print(f"{cell.m},{cell.k:>1} {str(cell.computed):>26} {str(cell.published):>26} {status:>10}")
+    print(f"rows m in {sorted(PUBLISHED_ROOT_ROWS)}; {diffs} published cells differ from the computed/oracle values")
+    return all(cell.matches_oracle for cell in cells)

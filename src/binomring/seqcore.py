@@ -27,19 +27,30 @@ makes that representation and ``_widen`` extends it entry by entry under a
 running lcm. Each kernel has one summation: ``_lift`` gives its inputs as
 integer numerators, or as the ring values themselves over 1 when any entry
 is a RatPoly, and ``_value`` turns each sum back into a ring value.
+
+This module never imports ``binomring.poly``, so a process that builds no
+polynomial never loads it: ``_is_poly`` finds the RatPoly class in
+``sys.modules``, as no RatPoly exists before that module loads, and
+``as_coeff`` passes the exact types it has seen before on one set lookup.
 """
 from __future__ import annotations
 
+import sys
 import threading
 from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import mul
-from typing import Iterable, Union
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import DepthMismatchError
-from .poly import RatPoly
 
-Coeff = Union[Fraction, RatPoly]
+if TYPE_CHECKING:
+    from .poly import RatPoly
+
+_POLY = f"{__package__}.poly"
+# the types as_coeff has passed through unchanged: Fraction, then RatPoly and any Fraction subclass once seen.
+# Whether a type passes never changes, so which caller added it does not matter.
+_RING_TYPES = {Fraction}
 
 NAMED_SEQUENCES = ("e", "I", "nu", "xi1", "fact")
 
@@ -106,14 +117,21 @@ def binom(n: int, k: int) -> int:
     return _pascal_row(n)[k]
 
 
-def as_coeff(v) -> Coeff:
+def _is_poly(v) -> bool:
+    """True for a RatPoly, told without loading binomring.poly."""
+    poly = sys.modules.get(_POLY)
+    return poly is not None and isinstance(v, poly.RatPoly)
+
+
+def as_coeff(v) -> Fraction | RatPoly:
     """Coerce a value into the coefficient ring (ints become Fractions)."""
-    if isinstance(v, RatPoly):
-        return v
-    if isinstance(v, Fraction):
+    if type(v) in _RING_TYPES:
         return v
     if isinstance(v, int):
         return Fraction(v)
+    if isinstance(v, Fraction) or _is_poly(v):
+        _RING_TYPES.add(type(v))
+        return v
     raise TypeError(f"unsupported coefficient: {v!r}")
 
 
@@ -123,7 +141,7 @@ class TruncSeq:
     __slots__ = ("_values",)
 
     def __init__(self, values: Iterable):
-        vs = tuple(as_coeff(v) for v in values)
+        vs = tuple(map(as_coeff, values))
         if not vs:
             raise ValueError("a TruncSeq needs at least the k=0 value")
         object.__setattr__(self, "_values", vs)

@@ -5,7 +5,8 @@ Bernoulli polynomials as the convolution of the numbers with the geometric
 sequence of the indeterminate, built directly as the Appell sequence
 B_k(x) = sum_j C(k,j) B(k-j) x^j. Euler values, power-sum polynomials,
 Norlund (rational-power Bernoulli) sequences and Moebius-Bernoulli
-polynomials follow from the same ring operations.
+polynomials follow from the same ring operations. Only the polynomial
+builders import binomring.poly, when they run.
 """
 from __future__ import annotations
 
@@ -14,8 +15,7 @@ from functools import lru_cache
 from math import factorial
 from operator import mul
 
-from .poly import RatPoly, X, _canonical
-from .seqcore import TruncSeq, _over_common, _pascal_row, add, binom, bullet, make_eps, make_named, scale, sub
+from .seqcore import TruncSeq, _is_poly, _over_common, _pascal_row, add, binom, bullet, make_eps, make_named, scale, sub
 from .units import inverse, power_rat
 
 
@@ -32,6 +32,8 @@ def _appell(c: TruncSeq) -> TruncSeq:
     bullet(c, make_eps(X, K)), built coefficient by coefficient over the
     common denominator of c instead of through RatPoly products.
     """
+    from .poly import _canonical
+
     a, den = _over_common(c.values)
     return TruncSeq(_canonical(list(map(mul, _pascal_row(k), a[k::-1])), den) for k in range(len(a)))
 
@@ -51,7 +53,7 @@ def poly_seq_eval(seq: TruncSeq, x) -> TruncSeq:
     """Evaluate every RatPoly entry of a sequence at a rational point."""
     x = Fraction(x)
     return TruncSeq(
-        v.evaluate(x) if isinstance(v, RatPoly) else v for v in seq
+        v.evaluate(x) if _is_poly(v) else v for v in seq
     )
 
 
@@ -63,6 +65,8 @@ def ber_inv_pow(n: int, depth: int) -> TruncSeq:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    from .poly import RatPoly
+
     out = []
     for k in range(depth + 1):
         c = Fraction(factorial(k), factorial(k + n))
@@ -104,6 +108,8 @@ def sigma(depth: int) -> TruncSeq:
     n = 0 entry is x + 1, one more than the bare power sum (the k = 0 power
     sum counts from 1). power_sum_poly is this minus e.
     """
+    from .poly import X
+
     return _sigma(X, depth)
 
 

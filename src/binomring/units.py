@@ -14,13 +14,12 @@ from operator import mul, sub
 from typing import NamedTuple
 
 from .errors import NotAUnitError, NotInvertibleInRingError, RootNotRepresentableError
-from .poly import RatPoly
-from .seqcore import TruncSeq, _lift, _pascal_row, _widen, bullet, make_eps, make_named, scale
+from .seqcore import TruncSeq, _is_poly, _lift, _pascal_row, _widen, bullet, make_eps, make_named, scale
 
 
 def _unit_reciprocal(v) -> Fraction:
     """1/f(0) for a unit leading coefficient; polynomial units must be constants."""
-    if isinstance(v, RatPoly):
+    if _is_poly(v):
         if v.is_zero():
             raise NotAUnitError("f(0) = 0")
         if not v.is_constant():
@@ -108,12 +107,13 @@ def power_rat(f: TruncSeq, p: int, q: int) -> TruncSeq:
     lead = f[0]
     if lead == 0:
         raise NotAUnitError("f(0) = 0")
-    if isinstance(lead, RatPoly) and not lead.is_constant():
+    poly = _is_poly(lead)
+    if poly and not lead.is_constant():
         error = NotInvertibleInRingError if p < 0 else RootNotRepresentableError
         raise error(f"f(0) = {lead} is not a constant polynomial")
     if q == 1 and p > 0:
         return power_int(f, p)
-    f0 = lead.constant_value() if isinstance(lead, RatPoly) else lead
+    f0 = lead.constant_value() if poly else lead
     g = [_rat_mth_root(f0 ** p, q)]
     (a, _), = _lift(f)
     rational = isinstance(a[0], int)
@@ -122,9 +122,9 @@ def power_rat(f: TruncSeq, p: int, q: int) -> TruncSeq:
         G, den, qa0 = [g[0].numerator], g[0].denominator, q * a[0]
     else:
         G, inv = g, Fraction(1, 1) / (q * f0)
-        if isinstance(lead, RatPoly) and p not in (1, -1):
+        if poly and p not in (1, -1):
             # f(0) is a factor of every entry k >= 1 of f^p, so they stay polynomials
-            inv = RatPoly.const(inv)
+            inv = type(lead).const(inv)
     tail = a[1:]
     for k in range(1, len(a)):
         row = _pascal_row(k - 1)

@@ -656,3 +656,20 @@ def test_output_bytes_are_pinned(argv, tmp_path, capsys):
     run(capsys, "gen", "bernoulli-poly", "--depth", "10", "--output", str(tmp_path / "P"))
     code, out, _ = run(capsys, *(str(tmp_path / a) if a in ("R", "P", "M") else a for a in argv.split()))
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == PINNED[argv]
+
+
+@pytest.mark.parametrize("name", ["bernoulli-poly", "euler-poly", "mobius-bernoulli", "sigma"])
+def test_gen_refuses_bfile_for_a_polynomial_generator(capsys, name):
+    flags = ("--n", "6") if name == "mobius-bernoulli" else ()
+    code, out, err = run(capsys, "gen", name, *flags, "--depth", "3", "--format", "bfile")
+    assert (code, out, err) == (2, "", "error: bfile format supports only rational-valued sequences\n")
+
+
+def test_generators_mark_exactly_the_polynomial_valued_ones():
+    from binomring.cli import GENERATORS, _Opts
+    from binomring.poly import RatPoly
+
+    opts = _Opts(3)
+    opts.update(x=F(2, 3), m=2, p=1, q=2, n=6)
+    for name, (build, _, poly) in GENERATORS.items():
+        assert any(isinstance(v, RatPoly) for v in build(opts, 3)) is poly, name

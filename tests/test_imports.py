@@ -76,6 +76,43 @@ def test_gen_usage_error_loads_no_library_module(tmp_path, argv):
     assert {m for m in loaded if m.startswith("binomring")} == {"binomring", "binomring.cli", "binomring.errors"}
 
 
+POLY = "binomring.poly"
+
+
+def _with_inputs(tmp_path, argv):
+    """argv with RAT, POLY and BFILE replaced by the paths of a rational file, a polynomial file and a b-file."""
+    from binomring.cli import main
+
+    rat = tmp_path / "e.json"
+    rat.write_text('{"name": "e", "depth": 2, "values": [["1","1"], ["0","1"], ["0","1"]]}')
+    (tmp_path / "e.txt").write_text("0 1\n1 0\n2 0\n")
+    if "POLY" in argv:
+        assert main(["gen", "bernoulli-poly", "--depth", "4", "-o", str(tmp_path / "bpoly.json")]) == 0
+    paths = {"RAT": rat, "POLY": tmp_path / "bpoly.json", "BFILE": tmp_path / "e.txt"}
+    return [str(paths.get(a, a)) for a in argv]
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "bernoulli"), ("gen", "norlund", "--p", "1", "--q", "2"), ("op", "invert", "RAT"),
+    ("op", "bullet", "RAT", "RAT"), ("oeis-compare", "RAT", "BFILE", "--transform", "numerator"),
+    ("verify", "eq3"), ("verify", "eq13"), ("table1",),
+], ids=["gen-bernoulli", "gen-norlund", "op-invert", "op-bullet", "oeis-compare", "eq3", "eq13", "table1"])
+def test_rational_command_does_not_load_the_polynomial_ring(tmp_path, argv):
+    loaded = loaded_by(tmp_path, *_with_inputs(tmp_path, argv))
+    assert "binomring.seqcore" in loaded and POLY not in loaded
+
+
+@pytest.mark.parametrize("argv", [("gen", "euler-poly"), ("op", "invert", "POLY"), ("verify", "eq9")],
+                         ids=["gen-euler-poly", "op-invert-poly", "eq9"])
+def test_polynomial_command_loads_the_polynomial_ring(tmp_path, argv):
+    assert POLY in loaded_by(tmp_path, *_with_inputs(tmp_path, argv))
+
+
+def test_gen_bfile_of_a_polynomial_generator_builds_nothing(tmp_path):
+    loaded = loaded_by(tmp_path, "gen", "sigma", "--depth", "256", "--format", "bfile", code=2)
+    assert not loaded & {"binomring.special", POLY}
+
+
 def test_module_entry_point_reads_sys_argv(tmp_path):
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "binomring.cli", "gen", "e", "--depth", "0"],

@@ -222,3 +222,24 @@ def test_negative_slice_bounds_do_not_wrap():
     for bad in (slice(-2, None), slice(None, -1), slice(0, -1), slice(-3, 3, 1)):
         with pytest.raises(IndexError):
             f[bad]
+
+
+class _Rational(F):
+    """A Fraction subclass, which TruncSeq keeps as it is."""
+
+
+def test_ints_become_fractions_and_fraction_subclasses_are_kept():
+    s = TruncSeq([3, True, False, _Rational(1, 2), F(-2, 3)])
+    assert s.values == (F(3), F(1), F(0), F(1, 2), F(-2, 3))
+    assert [type(v) for v in s] == [F, F, F, _Rational, F]
+
+
+@pytest.mark.parametrize("value", [0.5, 2.0, 1j, "1/2", None], ids=["float", "integral-float", "complex", "str", "none"])
+@pytest.mark.parametrize("at", [0, 2])
+def test_values_outside_the_exact_rings_are_refused(value, at):
+    # after Fractions, ints, a Fraction subclass and a RatPoly have all passed through
+    TruncSeq([F(1), 2, _Rational(1, 3), X])
+    values = [F(1), F(2), F(3)]
+    values[at] = value
+    with pytest.raises(TypeError, match="unsupported coefficient"):
+        TruncSeq(values)
