@@ -226,7 +226,7 @@ def cmd_op(opts, op, *files) -> int:
 def cmd_verify(opts, name) -> int:
     params = {key: value for key, value in opts.items() if key not in ("depth", "output")}
     depth = _check_depth(opts["depth"])
-    from . import identities, jsonio
+    from . import identities
 
     try:
         if "depth" in opts and "depth" not in identities.reads(name):
@@ -234,6 +234,8 @@ def cmd_verify(opts, name) -> int:
         report = identities.check(name, params, depth)
     except KeyError as exc:
         raise UsageError(str(exc)) from None
+    from . import jsonio
+
     _emit(opts, jsonio.dumps_canonical(jsonio.report_to_obj(report)))
     return 0 if report.passed else 1
 

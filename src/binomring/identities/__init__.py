@@ -18,24 +18,34 @@ eq24, tuenter, cor9) and ``convolution`` (prop10, eq25-iso, eq29, eq31,
 eq32). This package holds the report types, the shared helpers and one
 static table, ``_TABLE``, which declares once what each name's check reads:
 ``depth`` when the values it compares depend on the depth (all but carlitz
-and eq29), then each parameter with its rule, such as ``n>=1`` or ``a!=0``.
-A parameter is a rational (a, b, c), a TruncSeq (the sequence overrides) or
-else an int. ``check`` is the one validator: it refuses an unknown name or a
-parameter the check does not read, converts each value to its kind (a float,
-or a non-integral int, is refused) and refuses one that breaks its rule, or
-a sequence whose depth is not the depth of a check that reads it.
+and eq29), as ``depth>=B`` when it compares nothing below depth B, then each
+parameter with its rule, such as ``n>=1`` or ``a!=0``. A parameter is a
+rational (a, b, c), a TruncSeq (the sequence overrides) or else an int.
+``check`` is the one validator: it refuses an unknown name, a depth below
+the check's floor or a parameter the check does not read, converts each
+value to its kind (a float, or a non-integral int, is refused) and refuses
+one that breaks its rule, or a sequence whose depth is not the depth of a
+check that reads it.
 Only then does it import the family module and call ``_check_<name>``
 (dashes become underscores) there, which reads ``params.get(key, default)``;
 a process that runs a single check loads only that family.
 
+Each ``_check_<name>`` returns the parameters it reports and a lazy iterable
+of every (index, lhs, rhs) it compares, plus their common denominator when
+lhs and rhs are integer numerators. ``check`` is the one place that
+compares: it stops at the first pair that differs (later pairs are never
+built), builds Fractions only for that pair, counts the pairs compared in
+the report's ``checked`` (the failing one included; the verify JSON does not
+carry it) and raises ValueError if a run compared nothing.
+
 The checks use the ring operations rather than one product per index. The
 ``symmetric`` family reads every shifted product (I x_m f)(n) from one
-Euler-Seidel table of f, O(K^2) integer additions, and reports the first
-mismatch in the order m outer, n inner; ``poly_symmetry`` writes the eq23
-and eq24 sums as two binomial products; ``inverse_power`` checks eq9 as one
-product. ``run_all`` passes at every depth: gould12's and eq13's default m
-and n shrink to fit m + n <= depth, and a default n of a 1..n range is at
-least 1.
+Euler-Seidel table of f, O(K^2) integer additions, and hands over the pairs
+with m outer, n inner; ``poly_symmetry`` writes the eq23 and eq24 sums as
+two binomial products; ``inverse_power`` checks eq9 as one product.
+``run_all`` runs every name whose depth floor the depth meets (eq15 needs 1,
+eq18 3), and passes at every depth: gould12's and eq13's default m and n
+shrink to fit m + n <= depth, and a default n of a 1..n range is at least 1.
 """
 from __future__ import annotations
 
@@ -45,7 +55,7 @@ from importlib import import_module
 from typing import Callable, Mapping, NamedTuple, Optional
 
 from ..errors import DepthMismatchError
-from ..seqcore import TruncSeq
+from ..seqcore import TruncSeq, _value
 
 DEFAULT_DEPTH = 12
 _DEFAULT_SEED = 20270406
@@ -63,10 +73,12 @@ class IdentityReport(NamedTuple):
     depth: int = DEFAULT_DEPTH
     passed: bool = True
     first_failure: Optional[FirstFailure] = None
+    checked: int = 0
 
 
-# name -> (family module, what its check reads): "depth" when the values it compares depend on the depth, then
-# each parameter, as KEY, KEY>=BOUND for an int with a lower bound or KEY!=0 for a nonzero rational
+# name -> (family module, what its check reads): "depth" when the values it compares depend on the depth
+# ("depth>=BOUND" when it compares nothing below BOUND), then each parameter, as KEY, KEY>=BOUND for an int
+# with a lower bound or KEY!=0 for a nonzero rational
 _TABLE = {
     "eq3": ("inverse_power", "depth bernoulli"),
     "eq9": ("inverse_power", "depth n>=1"),
@@ -79,9 +91,9 @@ _TABLE = {
     "eq13": ("symmetric", "depth m>=0 n>=0 seed f"),
     "thm5-forward": ("symmetric", "depth seed"),
     "thm5-converse": ("symmetric", "depth seed f"),
-    "eq15": ("symmetric", "depth f euler1"),
+    "eq15": ("symmetric", "depth>=1 f euler1"),
     "eq16": ("symmetric", "depth euler1"),
-    "eq18": ("symmetric", "depth f"),
+    "eq18": ("symmetric", "depth>=3 f"),
     "eq19": ("symmetric", "depth seed f"),
     "eq20": ("symmetric", "depth"),
     "eq21": ("poly_symmetry", "depth a b c seed"),
@@ -112,7 +124,13 @@ def reads(name: str) -> list[str]:
     return [word.partition("!=")[0].partition(">=")[0] for word in _TABLE[name][1].split()]
 
 
-def _check_function(name: str) -> Callable[[dict, int], IdentityReport]:
+def _depth_floor(name: str) -> int:
+    """The least depth the named check runs at: BOUND for a declared depth>=BOUND, else 0."""
+    first = _TABLE[name][1].split()[0]
+    return int(first.partition(">=")[2] or 0) if first.startswith("depth") else 0
+
+
+def _check_function(name: str) -> Callable[[dict, int], tuple]:
     """The check behind a table name: ``_check_<name>`` in its family module, imported here."""
     family = import_module(f".{_TABLE[name][0]}", __name__)
     return getattr(family, "_check_" + name.replace("-", "_"))
@@ -136,13 +154,17 @@ def _convert(key: str, value):
 
 
 def check(name: str, params: Mapping | None = None, depth: int = DEFAULT_DEPTH) -> IdentityReport:
-    """Run a named check once its parameters pass its declaration. Unknown names raise KeyError; a negative depth,
-    a parameter the check does not read, or a value not of its kind or breaking its rule ValueError; a sequence whose
-    depth is not the run depth, in a check that reads the depth, DepthMismatchError."""
+    """Run a named check once its parameters pass its declaration, and compare every pair it hands over.
+
+    Unknown names raise KeyError; a depth below the check's floor (0 unless declared), a parameter the check
+    does not read, a value not of its kind or breaking its rule, or a run that compared nothing ValueError; a
+    sequence whose depth is not the run depth, in a check that reads the depth, DepthMismatchError.
+    """
     words = reads(name)
     keys = [key for key in words if key != "depth"]
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
+    floor = _depth_floor(name)
+    if depth < floor:
+        raise ValueError(f"depth must be >= {floor}")
     params = dict(params or {})
     unread = [repr(k) for k in params if k not in keys]
     if unread:
@@ -157,11 +179,13 @@ def check(name: str, params: Mapping | None = None, depth: int = DEFAULT_DEPTH) 
                 raise ValueError(f"{key} must be nonzero")
             if isinstance(value, TruncSeq) and "depth" in words and value.depth != depth:
                 raise DepthMismatchError(f"{key} has depth {value.depth} but the check runs at depth {depth}")
-    return _check_function(name)(params, depth)
+    used, pairs, *den = _check_function(name)(params, depth)
+    return _verdict(name, used, depth, pairs, *den)
 
 
 def run_all(depth: int = DEFAULT_DEPTH) -> list[IdentityReport]:
-    return [check(name, {}, depth) for name in registered_names()]
+    """Every check with its defaults whose depth floor the depth meets."""
+    return [check(name, {}, depth) for name in registered_names() if depth >= _depth_floor(name)]
 
 
 # ---------------------------------------------------------------------------
@@ -171,18 +195,22 @@ def _scalar_params(used: dict) -> dict:
     return {k: "<sequence>" if isinstance(v, TruncSeq) else str(v) for k, v in used.items()}
 
 
-def _verdict(name, used, depth, mismatches) -> IdentityReport:
-    """Build a report from the first of an iterable of (index, lhs, rhs) mismatches; the rest are never made."""
-    for idx, lhs, rhs in mismatches:
-        return IdentityReport(name, _scalar_params(used), depth, False, FirstFailure(idx, str(lhs), str(rhs)))
-    return IdentityReport(name, _scalar_params(used), depth, True, None)
+def _verdict(name, used, depth, pairs, den=1) -> IdentityReport:
+    """Compare (index, lhs, rhs) pairs, int sides being numerators over den, up to the first that differs."""
+    checked = 0
+    for checked, (idx, lhs, rhs) in enumerate(pairs, 1):
+        if lhs != rhs:
+            failure = FirstFailure(idx, str(_value(lhs, den)), str(_value(rhs, den)))
+            return IdentityReport(name, _scalar_params(used), depth, False, failure, checked)
+    if not checked:
+        raise ValueError(f"{name} compares nothing at depth {depth}")
+    return IdentityReport(name, _scalar_params(used), depth, True, None, checked)
 
 
-def _seq_mismatches(lhs: TruncSeq, rhs: TruncSeq, tag=None):
-    """Entrywise mismatches, indexed k, or (tag, k) when a tag names the comparison."""
+def _entrywise(lhs: TruncSeq, rhs: TruncSeq, tag=None):
+    """Every entrywise pair, indexed k, or (tag, k) when a tag names the comparison."""
     for k in range(min(len(lhs), len(rhs))):
-        if lhs[k] != rhs[k]:
-            yield k if tag is None else (tag, k), lhs[k], rhs[k]
+        yield k if tag is None else (tag, k), lhs[k], rhs[k]
 
 
 def _rng(params: Mapping) -> random.Random:

@@ -7,7 +7,7 @@ from math import factorial
 from ..seqcore import TruncSeq, binom, bullet, cauchy, make_named, pointwise_mul
 from ..special import bernoulli
 from ..units import inverse
-from . import _DEFAULT_SEED, _rng, _seq_mismatches, _verdict, random_unit
+from . import _DEFAULT_SEED, _entrywise, _rng, random_unit
 
 
 def _check_prop10(params, depth):
@@ -18,12 +18,12 @@ def _check_prop10(params, depth):
     F = bullet(Iseq, f)
     g1 = bullet(Iseq, g2)
 
-    def mism():
-        yield from _seq_mismatches(bullet(f, g1), bullet(F, g2), "forward")
+    def pairs():
+        yield from _entrywise(bullet(f, g1), bullet(F, g2), "forward")
         # converse: recover g1 from f * g1 = F * g2 and confirm it is I * g2
-        yield from _seq_mismatches(bullet(inverse(f), bullet(F, g2)), g1, "converse")
+        yield from _entrywise(bullet(inverse(f), bullet(F, g2)), g1, "converse")
 
-    return _verdict("prop10", {"seed": params.get("seed", _DEFAULT_SEED)}, depth, mism())
+    return {"seed": params.get("seed", _DEFAULT_SEED)}, pairs()
 
 
 def _check_eq31(params, depth):
@@ -34,11 +34,11 @@ def _check_eq31(params, depth):
     g2 = TruncSeq(Fraction((-1) ** s, (m + n + s + 1) * binom(m + n + s, n)) for s in range(depth + 1))
     F = params.get("F") or bullet(make_named("I", depth), f)
 
-    def mism():
-        yield from _seq_mismatches(g1, bullet(make_named("I", depth), g2), "pair")
-        yield from _seq_mismatches(bullet(f, g1), bullet(F, g2))
+    def pairs():
+        yield from _entrywise(g1, bullet(make_named("I", depth), g2), "pair")
+        yield from _entrywise(bullet(f, g1), bullet(F, g2))
 
-    return _verdict("eq31", {"m": m, "n": n, "seed": params.get("seed", _DEFAULT_SEED)}, depth, mism())
+    return {"m": m, "n": n, "seed": params.get("seed", _DEFAULT_SEED)}, pairs()
 
 
 def _check_eq32(params, depth):
@@ -48,8 +48,7 @@ def _check_eq32(params, depth):
     F = params.get("F") or bullet(make_named("I", depth), f)
     lhs = bullet(f, pointwise_mul(make_named("nu", depth), B))
     rhs = bullet(F, B)
-    return _verdict("eq32", {"seed": params.get("seed", _DEFAULT_SEED)}, depth,
-                    _seq_mismatches(lhs, rhs))
+    return {"seed": params.get("seed", _DEFAULT_SEED)}, _entrywise(lhs, rhs)
 
 
 def _check_eq25_iso(params, depth):
@@ -59,13 +58,13 @@ def _check_eq25_iso(params, depth):
     fact = make_named("fact", depth)
     recip = TruncSeq(Fraction(1, factorial(k)) for k in range(depth + 1))
 
-    def mism():
-        yield from _seq_mismatches(pointwise_mul(fact, cauchy(f, g)),
-                                   bullet(pointwise_mul(fact, f), pointwise_mul(fact, g)), "forward")
-        yield from _seq_mismatches(pointwise_mul(fact, cauchy(pointwise_mul(recip, f), pointwise_mul(recip, g))),
-                                   bullet(f, g), "reverse")
+    def pairs():
+        yield from _entrywise(pointwise_mul(fact, cauchy(f, g)),
+                              bullet(pointwise_mul(fact, f), pointwise_mul(fact, g)), "forward")
+        yield from _entrywise(pointwise_mul(fact, cauchy(pointwise_mul(recip, f), pointwise_mul(recip, g))),
+                              bullet(f, g), "reverse")
 
-    return _verdict("eq25-iso", {"seed": params.get("seed", _DEFAULT_SEED)}, depth, mism())
+    return {"seed": params.get("seed", _DEFAULT_SEED)}, pairs()
 
 
 def _check_eq29(params, depth):
@@ -73,12 +72,5 @@ def _check_eq29(params, depth):
 
     n, k = params.get("n", 6), params.get("k", 2)
     res = coprime_power_sum_identity(n, k)
-    used = {"n": n, "k": k, "value": res.brute}
-
-    def mism():
-        if res.bullet_side != res.brute:
-            yield ("bullet", (n, k)), res.brute, res.bullet_side
-        elif res.dirichlet_side != res.brute:
-            yield ("dirichlet", (n, k)), res.brute, res.dirichlet_side
-
-    return _verdict("eq29", used, depth, mism())
+    pairs = [(("bullet", (n, k)), res.brute, res.bullet_side), (("dirichlet", (n, k)), res.brute, res.dirichlet_side)]
+    return {"n": n, "k": k, "value": res.brute}, pairs

@@ -7,13 +7,13 @@ from math import factorial
 from ..seqcore import TruncSeq, bullet, make_named
 from ..special import ber_inv_pow, bernoulli, bernoulli_poly
 from ..units import power_int
-from . import _seq_mismatches, _verdict
+from . import _entrywise
 
 
 def _check_eq3(params, depth):
     B = params.get("bernoulli") or bernoulli(depth)
     lhs = bullet(B, make_named("xi1", depth))
-    return _verdict("eq3", {}, depth, _seq_mismatches(lhs, make_named("e", depth)))
+    return {}, _entrywise(lhs, make_named("e", depth))
 
 
 def _check_eq9(params, depth):
@@ -21,7 +21,7 @@ def _check_eq9(params, depth):
     # the k-th sum of eq9 is (B(x)^n * B(x)^(-n))(k) / k!, with the inverse power in closed form
     product = bullet(power_int(bernoulli_poly(depth), n), ber_inv_pow(n, depth))
     totals = TruncSeq(v / factorial(k) for k, v in enumerate(product))
-    return _verdict("eq9", {"n": n, "mode": "polynomial"}, depth, _seq_mismatches(totals, make_named("e", depth)))
+    return {"n": n, "mode": "polynomial"}, _entrywise(totals, make_named("e", depth))
 
 
 def _check_eq9_k0_a(params, depth):
@@ -29,16 +29,15 @@ def _check_eq9_k0_a(params, depth):
 
     nmax = params.get("n", max(min(depth, 8), 1))
 
-    def mism():
+    def pairs():
         for n in range(1, nmax + 1):
             total = RatPoly()
             for j in range(n + 1):
                 poly = RatPoly((Fraction(j), Fraction(-n))) ** n
                 total = total + Fraction((-1) ** (n - j), factorial(n - j) * factorial(j)) * poly
-            if total != 1:
-                yield n, total, RatPoly.const(1)
+            yield n, total, RatPoly.const(1)
 
-    return _verdict("eq9-k0-a", {"n": nmax, "mode": "polynomial"}, depth, mism())
+    return {"n": nmax, "mode": "polynomial"}, pairs()
 
 
 def _check_eq9_k0_b(params, depth):
@@ -47,14 +46,13 @@ def _check_eq9_k0_b(params, depth):
     alpha_max = params.get("alpha", 3)
     nmax = params.get("n", max(min(depth, 8), 1))
 
-    def mism():
+    def pairs():
         for alpha in range(1, alpha_max + 1):
             for n in range(alpha, nmax + 1):
                 total = RatPoly()
                 for j in range(n + 1):
                     poly = RatPoly((Fraction(j), Fraction(-n))) ** (n - alpha)
                     total = total + Fraction((-1) ** (n - j), factorial(n - j) * factorial(j)) * poly
-                if not total.is_zero():
-                    yield (alpha, n), total, RatPoly()
+                yield (alpha, n), total, RatPoly()
 
-    return _verdict("eq9-k0-b", {"alpha": alpha_max, "n": nmax, "mode": "polynomial"}, depth, mism())
+    return {"alpha": alpha_max, "n": nmax, "mode": "polynomial"}, pairs()

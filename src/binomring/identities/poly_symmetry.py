@@ -6,7 +6,7 @@ from fractions import Fraction
 from ..seqcore import TruncSeq, bullet, make_eps, pointwise_mul, scale, sub
 from ..special import bernoulli, bernoulli_poly_at, sigma_eval
 from ..units import power_int
-from . import _distinct_nonzero_triple, _rng, _seq_mismatches, _verdict
+from . import _distinct_nonzero_triple, _entrywise, _rng
 
 
 def _given(params, keys: str, draw) -> tuple:
@@ -28,8 +28,7 @@ def _check_eq21(params, depth):
     Bc = bernoulli_poly_at(c, depth)
     Bac = bernoulli_poly_at(a + c, depth)
     Bbc = bernoulli_poly_at(b + c, depth)
-    mism = _seq_mismatches(_twisted(a, Bc, b, Bac), _twisted(b, Bc, a, Bbc))
-    return _verdict("eq21", {"a": a, "b": b, "c": c}, depth, mism)
+    return {"a": a, "b": b, "c": c}, _entrywise(_twisted(a, Bc, b, Bac), _twisted(b, Bc, a, Bbc))
 
 
 def _remainder(a, b, Bc, B, K):
@@ -58,12 +57,12 @@ def _check_eq22(params, depth):
     printed_ok = all(b * L1[n] == a * L2[n] for n in range(depth + 1))
     rhs = TruncSeq(R[n + 1] / (n + 1) for n in range(depth + 1))
     used = {"a": a, "b": b, "c": c, "printed_form_holds": printed_ok}
-    return _verdict("eq22", used, depth, _seq_mismatches(sub(scale(b, L1), scale(a, L2)), rhs))
+    return used, _entrywise(sub(scale(b, L1), scale(a, L2)), rhs)
 
 
 # sigma_eval, bernoulli_poly_at and the remainder are prefix-consistent: entry i
-# is the same at every depth >= i. So the eq23 and eq24 terms build each of them
-# once at depth nmax + 1 and index it, rather than rebuilding it per n and i.
+# is the same at every depth >= i. So the eq23 terms build each of them once at
+# depth nmax + 1 and index it, rather than rebuilding it per n and i.
 
 def _weighted_sums(Bc, a, b, s1, s2, sign) -> list:
     """Entry n: sum_{i=1}^{n} C(n,i) Bc(n-i) sign^i (a^(n-1-i) b^i s1(i) - a^i b^(n-1-i) s2(i)), n <= s1.depth.
@@ -79,8 +78,8 @@ def _weighted_sums(Bc, a, b, s1, s2, sign) -> list:
     return [a ** (n - 1) * (p1[n] - B[n] * s1[0]) - b ** (n - 1) * (p2[n] - B[n] * s2[0]) for n in range(nmax + 1)]
 
 
-def _eq23_terms(a, b, c, nmax: int):
-    """Yield (n, B_n(c), printed right side, corrected right side) of eq23 for n = 1..nmax."""
+def _eq23_terms(a, b, c, nmax: int, violated="eq23 precondition violated at n={}: denominator is 0"):
+    """Yield (n, B_n(c), printed right side, corrected right side) of eq23 for n = 1..nmax; 0 = den raises."""
     K = nmax + 1
     Bc = bernoulli_poly_at(c, K)
     s1 = sigma_eval(a + c - 1, nmax)
@@ -90,25 +89,9 @@ def _eq23_terms(a, b, c, nmax: int):
     for n in range(1, nmax + 1):
         den = b ** (n - 1) * (b + c) - a ** (n - 1) * (a + c)
         if den == 0:
-            raise ValueError(f"eq23 precondition violated at n={n}: denominator is 0")
+            raise ValueError(violated.format(n))
         total = totals[n]
         yield n, Bc[n], total / den, (total - R[n + 1] / ((n + 1) * a * b)) / den
-
-
-def _eq24_terms(a, b, nmax: int):
-    """Yield (n, B_n, printed right side, corrected right side) of eq24 for n = 1..nmax."""
-    K = nmax + 1
-    B = bernoulli(K)
-    s1 = sigma_eval(a, nmax)
-    s2 = sigma_eval(b, nmax)
-    R = _remainder(a, b, bernoulli_poly_at(Fraction(1), K), B, K)
-    totals = _weighted_sums(B, a, b, s1, s2, -1)
-    for n in range(1, nmax + 1):
-        den = b ** (n - 1) * (b + 1) - a ** (n - 1) * (a + 1)
-        if den == 0:
-            raise ValueError(f"eq24 precondition violated at n={n}")
-        total = totals[n]
-        yield n, B[n], total / den, (total - (-1) ** n * R[n + 1] / ((n + 1) * a * b)) / den
 
 
 def _sample_eq23_triple(rng, nmax, force_c=None):
@@ -120,19 +103,18 @@ def _sample_eq23_triple(rng, nmax, force_c=None):
             return a, b, c
 
 
-def _corrected_verdict(name, used, depth, terms):
-    """Verdict on the corrected sides, recording in used whether the printed sides held too."""
+def _corrected(used, terms):
+    """The corrected sides of every term, recording in used whether the printed sides held too."""
     terms = list(terms)
     used["printed_form_holds"] = all(lhs == printed for _, lhs, printed, _ in terms)
-    return _verdict(name, used, depth, ((n, lhs, rhs) for n, lhs, _, rhs in terms if lhs != rhs))
+    return used, [(n, lhs, rhs) for n, lhs, _, rhs in terms]
 
 
 def _check_eq23(params, depth):
     rng = _rng(params)
     nmax = params.get("n", max(depth, 1))
     a, b, c = _given(params, "abc", lambda: _sample_eq23_triple(rng, nmax))
-    return _corrected_verdict("eq23", {"a": a, "b": b, "c": c, "n": nmax}, depth,
-                              _eq23_terms(a, b, c, nmax))
+    return _corrected({"a": a, "b": b, "c": c, "n": nmax}, _eq23_terms(a, b, c, nmax))
 
 
 def _check_tuenter(params, depth):
@@ -141,15 +123,16 @@ def _check_tuenter(params, depth):
     a, b = _given(params, "ab", lambda: _sample_eq23_triple(rng, nmax, force_c=Fraction(0))[:2])
     # the printed form, which needs no correction at c = 0
     terms = _eq23_terms(a, b, Fraction(0), nmax)
-    return _verdict("tuenter", {"a": a, "b": b, "n": nmax}, depth,
-                    ((n, lhs, printed) for n, lhs, printed, _ in terms if lhs != printed))
+    return {"a": a, "b": b, "n": nmax}, ((n, lhs, printed) for n, lhs, printed, _ in terms)
 
 
 def _check_eq24(params, depth):
     rng = _rng(params)
     nmax = params.get("n", max(depth, 1))
     a, b = _given(params, "ab", lambda: _sample_eq23_triple(rng, nmax, force_c=Fraction(1))[:2])
-    return _corrected_verdict("eq24", {"a": a, "b": b, "n": nmax}, depth, _eq24_terms(a, b, nmax))
+    # B_n(1) = (-1)^n B_n, so the terms of eq24 are those of eq23 at c = 1, each times (-1)^n
+    terms = _eq23_terms(a, b, Fraction(1), nmax, "eq24 precondition violated at n={}")
+    return _corrected({"a": a, "b": b, "n": nmax}, ((n, *((-1) ** n * v for v in sides)) for n, *sides in terms))
 
 
 def _check_cor9(params, depth):
@@ -160,18 +143,17 @@ def _check_cor9(params, depth):
     a, b, c = _given(params, "abc", lambda: _distinct_nonzero_triple(rng))
     K = depth
 
-    def mism():
+    def pairs():
         # first display: powered Bernoulli-polynomial symmetry, any c
         Bc = power_int(bernoulli_poly_at(c, K), r)
         Bac = power_int(bernoulli_poly_at(a + c, K), r)
         Bbc = power_int(bernoulli_poly_at(b + c, K), r)
-        yield from _seq_mismatches(_twisted(a, Bc, b, Bac), _twisted(b, Bc, a, Bbc), "power-symmetry")
+        yield from _entrywise(_twisted(a, Bc, b, Bac), _twisted(b, Bc, a, Bbc), "power-symmetry")
         # second display: sigma-weighted power symmetry; exact at c = 0
         B0 = power_int(bernoulli_poly_at(Fraction(0), K), r)
         s1 = power_int(sigma_eval(a - 1, K), r)
         s2 = power_int(sigma_eval(b - 1, K), r)
-        yield from _seq_mismatches(scale(b ** r, _twisted(a, B0, b, s1)), scale(a ** r, _twisted(b, B0, a, s2)),
-                                   "sigma-power")
+        yield from _entrywise(scale(b ** r, _twisted(a, B0, b, s1)), scale(a ** r, _twisted(b, B0, a, s2)),
+                              "sigma-power")
 
-    used = {"r": r, "a": a, "b": b, "c": c, "sigma_display_at": "c=0"}
-    return _verdict("cor9", used, depth, mism())
+    return {"r": r, "a": a, "b": b, "c": c, "sigma_display_at": "c=0"}, pairs()

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from ..seqcore import TruncSeq, bullet, make_eps, make_named, pointwise_mul
 from ..special import _appell, bernoulli, faulhaber, power_sum_bruteforce, power_sum_poly
-from . import _seq_mismatches, _verdict
+from . import _entrywise
 
 
 def _check_faulhaber(params, depth):
@@ -19,7 +19,7 @@ def _check_faulhaber(params, depth):
         h = TruncSeq(Fraction((n + 1) ** (j + 1) - 1, j + 1) for j in range(depth + 1))
         computed = bullet(B, h)
     oracle = TruncSeq(power_sum_bruteforce(n, k) for k in range(depth + 1))
-    return _verdict("faulhaber", {"n": n}, depth, _seq_mismatches(computed, oracle))
+    return {"n": n}, _entrywise(computed, oracle)
 
 
 def _check_powersum_sigma_form(params, depth):
@@ -31,4 +31,4 @@ def _check_powersum_sigma_form(params, depth):
     B1 = pointwise_mul(make_named("nu", depth + 1), B)
 
     rhs = TruncSeq((Bx1[k + 1] - B1[k + 1]) / (k + 1) for k in range(depth + 1))
-    return _verdict("powersum-sigma-form", {"mode": "polynomial"}, depth, _seq_mismatches(lhs, rhs))
+    return {"mode": "polynomial"}, _entrywise(lhs, rhs)

@@ -8,18 +8,19 @@ whole table for m + n <= K costs O(K^2) integer additions over one common
 denominator instead of one O(K^2) product per (m, n). With a minus sign the
 same recurrence gives the finite-difference table, which is the nu-product
 (nu x_n g)(m) up to the sign (-1)^(m+n). eq13, Theorem 5 both ways, eq19 and
-eq20 read both sides of every (m, n) from these tables and report the first
-mismatch in the order m = 0, 1, .. outer and n = 0, 1, .. inner, building a
-Fraction only for the mismatch.
+eq20 read both sides of every (m, n) from these tables and hand them to
+``check`` in the order m = 0, 1, .. outer and n = 0, 1, .. inner, as integer
+numerators with their common denominator, so a Fraction is built only for a
+mismatch.
 """
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
 
-from ..seqcore import TruncSeq, _over_common, _rational, _value, add, binom, bullet, deviation, make_named, scale
+from ..seqcore import TruncSeq, _over_common, _rational, add, binom, bullet, deviation, make_named, scale
 from ..special import bernoulli, euler1
-from . import _DEFAULT_SEED, _rng, _seq_mismatches, _verdict, random_rational, random_unit
+from . import _DEFAULT_SEED, _entrywise, _rng, random_rational, random_unit
 
 
 def _seidel(values, op=operator.add) -> list[list]:
@@ -45,13 +46,9 @@ def _numerators(*seqs) -> tuple[list[list], int]:
     return [nums[i:i + size] for i in range(0, len(nums), size)], den
 
 
-def _pair_mismatches(depth, den, sides):
-    """((m, n), lhs, rhs) where the numerators sides(m, n) over den differ, for m + n <= depth, m outer."""
-    for m in range(depth + 1):
-        for n in range(depth + 1 - m):
-            lhs, rhs = sides(m, n)
-            if lhs != rhs:
-                yield (m, n), _value(lhs, den), _value(rhs, den)
+def _signs(depth) -> list[int]:
+    """(-1)^k for k = 0..depth, looked up per (m, n) pair rather than raised to a power."""
+    return [(-1) ** k for k in range(depth + 1)]
 
 
 def _mn(params, depth, m_default, n_default) -> tuple[int, int]:
@@ -71,8 +68,7 @@ def _check_carlitz(params, depth):
         raise ValueError("bernoulli override too shallow")
     lhs = Fraction(-1) ** n * sum(binom(n, i) * B[m + i] for i in range(n + 1))
     rhs = Fraction(-1) ** m * sum(binom(m, i) * B[n + i] for i in range(m + 1))
-    mism = [((m, n), lhs, rhs)] if lhs != rhs else []
-    return _verdict("carlitz", {"m": m, "n": n}, depth, mism)
+    return {"m": m, "n": n}, [((m, n), lhs, rhs)]
 
 
 def _check_gould12(params, depth):
@@ -82,8 +78,7 @@ def _check_gould12(params, depth):
     F = params.get("F") or bullet(make_named("I", depth), f)
     lhs = sum(binom(n, i) * f[m + i] for i in range(n + 1))
     rhs = sum(binom(m, i) * Fraction(-1) ** (m - i) * F[n + i] for i in range(m + 1))
-    mism = [((m, n), lhs, rhs)] if lhs != rhs else []
-    return _verdict("gould12", {"m": m, "n": n, "seed": params.get("seed", _DEFAULT_SEED)}, depth, mism)
+    return {"m": m, "n": n, "seed": params.get("seed", _DEFAULT_SEED)}, [((m, n), lhs, rhs)]
 
 
 def _check_eq13(params, depth):
@@ -94,8 +89,7 @@ def _check_eq13(params, depth):
     (a, b), den = _numerators(f, F)
     lhs = _seidel(a[:m + n + 1])[n][m]
     rhs = (-1) ** m * _seidel(b[:m + n + 1], operator.sub)[m][n]
-    mism = [((m, n), _value(lhs, den), _value(rhs, den))] if lhs != rhs else []
-    return _verdict("eq13", {"m": m, "n": n, "seed": params.get("seed", _DEFAULT_SEED)}, depth, mism)
+    return {"m": m, "n": n, "seed": params.get("seed", _DEFAULT_SEED)}, [((m, n), lhs, rhs)], den
 
 
 def build_symmetric_function(evens: list[Fraction], depth: int) -> TruncSeq:
@@ -117,16 +111,17 @@ def _check_thm5_forward(params, depth):
     rng = _rng(params)
     evens = [Fraction(1)] + [random_rational(rng) for _ in range(depth // 2)]
     f = build_symmetric_function(evens, depth)
-    used = {"seed": params.get("seed", _DEFAULT_SEED)}
+    (a, d), den = _numerators(f, deviation(f))
 
-    def mism():
-        yield from _seq_mismatches(deviation(f), TruncSeq([0] * (depth + 1)), "deviation")
-        (a,), den = _numerators(f)
-        T = _seidel(a)
+    def pairs():
+        yield from ((("deviation", k), v, 0) for k, v in enumerate(d))
+        T, sign = _seidel(a), _signs(depth)
         # (-1)^n (I x_m f)(n) against (-1)^m (I x_n f)(m)
-        yield from _pair_mismatches(depth, den, lambda m, n: ((-1) ** n * T[n][m], (-1) ** m * T[m][n]))
+        for m in range(depth + 1):
+            for n in range(depth + 1 - m):
+                yield (m, n), sign[n] * T[n][m], sign[m] * T[m][n]
 
-    return _verdict("thm5-forward", used, depth, mism())
+    return {"seed": params.get("seed", _DEFAULT_SEED)}, pairs(), den
 
 
 def _check_thm5_converse(params, depth):
@@ -136,15 +131,8 @@ def _check_thm5_converse(params, depth):
     f = params.get("f") or random_unit(_rng(params), depth)
     (a, d), den = _numerators(f, deviation(f))
     T = _seidel(a)
-
-    def mism():
-        for n in range(depth + 1):
-            residual = (-1) ** n * T[n][0] - T[0][n]
-            expected = (-1) ** n * d[n]
-            if residual != expected:
-                yield n, _value(residual, den), _value(expected, den)
-
-    return _verdict("thm5-converse", {"seed": params.get("seed", _DEFAULT_SEED)}, depth, mism())
+    pairs = ((n, (-1) ** n * T[n][0] - T[0][n], (-1) ** n * d[n]) for n in range(depth + 1))
+    return {"seed": params.get("seed", _DEFAULT_SEED)}, pairs, den
 
 
 def _parity(f: TruncSeq, r: int, depth: int) -> TruncSeq:
@@ -157,44 +145,37 @@ def _check_eq15(params, depth):
     f = params.get("f") or bernoulli(depth)
     E1 = params.get("euler1") or euler1(depth)
     rhs = bullet(_parity(E1, 1, depth), _parity(f, 0, depth))
-    return _verdict("eq15", {}, depth, ((k, f[k], -rhs[k]) for k in range(1, depth + 1, 2) if f[k] != -rhs[k]))
+    return {}, ((k, f[k], -rhs[k]) for k in range(1, depth + 1, 2))
 
 
 def _check_eq16(params, depth):
     E1 = params.get("euler1") or euler1(depth)
     lhs = add(bullet(make_named("nu", depth), E1), E1)
     rhs = scale(2, make_named("e", depth))
-    return _verdict("eq16", {}, depth, _seq_mismatches(lhs, rhs))
+    return {}, _entrywise(lhs, rhs)
 
 
 def _check_eq18(params, depth):
     # f(2k) = -2/(2k+1) sum_i C(2k+1, 2i+1) B(2k-2i) f(2i+1), from entry 2k+1 of (B even) * (f odd)
     f = params.get("f") or bernoulli(depth)
     P = bullet(_parity(bernoulli(depth), 0, depth), _parity(f, 1, depth))
-
-    def mism():
-        for k in range(2, depth, 2):
-            rhs = -Fraction(2, k + 1) * P[k + 1]
-            if f[k] != rhs:
-                yield k, f[k], rhs
-
-    return _verdict("eq18", {}, depth, mism())
+    return {}, ((k, f[k], -Fraction(2, k + 1) * P[k + 1]) for k in range(2, depth, 2))
 
 
 def _check_eq19(params, depth):
     # (-1)^n (I x_m f)(n) - (-1)^m (I x_n f)(m) = (nu x_n dev)(m), dev = I * f - nu f
     f = params.get("f") or random_unit(_rng(params), depth)
     (a, d), den = _numerators(f, deviation(f))
-    T, D = _seidel(a), _seidel(d, operator.sub)
-    mism = _pair_mismatches(depth, den, lambda m, n: ((-1) ** n * T[n][m] - (-1) ** m * T[m][n],
-                                                      (-1) ** (m + n) * D[m][n]))
-    return _verdict("eq19", {"seed": params.get("seed", _DEFAULT_SEED)}, depth, mism)
+    T, D, sign = _seidel(a), _seidel(d, operator.sub), _signs(depth)
+    pairs = (((m, n), sign[n] * T[n][m] - sign[m] * T[m][n], sign[m + n] * D[m][n])
+             for m in range(depth + 1) for n in range(depth + 1 - m))
+    return {"seed": params.get("seed", _DEFAULT_SEED)}, pairs, den
 
 
 def _check_eq20(params, depth):
     # nu(n) (I x_m E1)(n) - nu(m) (I x_n E1)(m) = 2 (nu(n) e(m) - nu(m) e(n))
     (a,), den = _numerators(euler1(depth))
-    T = _seidel(a)
-    mism = _pair_mismatches(depth, den, lambda m, n: ((-1) ** n * T[n][m] - (-1) ** m * T[m][n],
-                                                      2 * den * ((-1) ** n * (m == 0) - (-1) ** m * (n == 0))))
-    return _verdict("eq20", {}, depth, mism)
+    T, sign = _seidel(a), _signs(depth)
+    pairs = (((m, n), sign[n] * T[n][m] - sign[m] * T[m][n], 2 * den * (sign[n] * (m == 0) - sign[m] * (n == 0)))
+             for m in range(depth + 1) for n in range(depth + 1 - m))
+    return {}, pairs, den

@@ -360,6 +360,15 @@ def test_verify_empty_range_is_a_usage_error(capsys, argv):
     assert err == "error: invalid parameters: n must be >= 1\n"
 
 
+@pytest.mark.parametrize("argv, floor", [(("verify", "eq15", "--depth", "0"), 1),
+                                         (("verify", "eq18", "--depth", "2"), 3)], ids=["eq15", "eq18"])
+def test_verify_below_the_depth_floor_is_a_usage_error(capsys, argv, floor):
+    # below its floor the check would compare nothing and pass vacuously
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: invalid parameters: depth must be >= {floor}\n"
+
+
 def test_table1_depth_beyond_published_table(capsys):
     code, out, err = run(capsys, "table1", "--depth", "20")
     assert code == 2 and out == ""

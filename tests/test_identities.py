@@ -7,7 +7,7 @@ import pytest
 from binomring import identities
 from binomring.errors import DepthMismatchError
 from binomring.identities import IdentityReport, check, registered_names, run_all
-from binomring.identities.poly_symmetry import _eq23_terms, _eq24_terms
+from binomring.identities.poly_symmetry import _eq23_terms
 from binomring.identities.symmetric import build_symmetric_function
 from binomring.seqcore import TruncSeq, binom, bullet, deviation, make_eps, pointwise_mul
 from binomring.special import bernoulli, bernoulli_poly_at, euler1, sigma_eval
@@ -37,9 +37,39 @@ def test_all_defaults_pass_depth_12():
 
 @pytest.mark.parametrize("depth", range(17))
 def test_run_all_passes_every_name_at_small_depths(depth):
+    # eq15 compares nothing below depth 1 and eq18 nothing below depth 3, so run_all leaves them out there
+    below_floor = {0: {"eq15", "eq18"}, 1: {"eq18"}, 2: {"eq18"}}.get(depth, set())
     reports = run_all(depth)
-    assert [r.name for r in reports] == registered_names()
+    assert [r.name for r in reports] == [name for name in registered_names() if name not in below_floor]
     assert all(r.passed for r in reports), [(r.name, r.first_failure) for r in reports if not r.passed]
+    assert all(r.checked >= 1 for r in reports), [(r.name, r.checked) for r in reports if r.checked < 1]
+
+
+@pytest.mark.parametrize("K", [0, 5, 12])
+def test_table_checks_count_every_pair(K):
+    pairs = (K + 1) * (K + 2) // 2
+    assert check("eq19", {}, K).checked == pairs
+    assert check("eq20", {}, K).checked == pairs
+    assert check("thm5-forward", {}, K).checked == pairs + K + 1
+
+
+def test_a_check_that_compares_nothing_is_refused(monkeypatch):
+    from binomring.identities import symmetric
+
+    monkeypatch.setattr(symmetric, "_check_eq16", lambda params, depth: ({}, iter(())))
+    with pytest.raises(ValueError, match="^eq16 compares nothing at depth 4$"):
+        check("eq16", {}, 4)
+
+
+def test_later_pairs_are_never_built():
+    def pairs():
+        yield 0, 1, 1
+        yield 1, 1, 2
+        raise AssertionError("a pair after the first mismatch was built")
+
+    report = identities._verdict("demo", {}, 3, pairs())
+    assert (report.passed, report.first_failure, report.checked) == (False, identities.FirstFailure(1, "1", "2"), 2)
+    assert identities._verdict("demo", {}, 3, [(0, 3, 6)], 6).first_failure == identities.FirstFailure(0, "1/2", "1")
 
 
 @pytest.mark.parametrize("name, depth, m, n", [
@@ -125,6 +155,12 @@ DECLARED = [(name, word) for name, (_, words) in sorted(identities._TABLE.items(
 def test_every_declared_parameter_is_validated(name, word):
     # check() refuses the value before the check runs, whatever the check would have made of it
     key = word.partition("!=")[0].partition(">=")[0]
+    if key == "depth":
+        # a depth floor: below it the check would compare nothing
+        bound = int(word.partition(">=")[2])
+        with pytest.raises(ValueError, match=f"^depth must be >= {bound}$"):
+            check(name, {}, bound - 1)
+        return
     kind = identities._KINDS.get(key, int)
     refused = {int: [2.5, F(5, 2)], F: [0.5], TruncSeq: [[F(1), F(0), F(0)]]}[kind]
     for value in refused:
@@ -239,6 +275,8 @@ def test_eq23_precondition_rejected():
     # a = b makes the denominator vanish for every n
     with pytest.raises(ValueError):
         check("eq23", {"a": F(2), "b": F(2), "c": F(1)}, depth=6)
+    with pytest.raises(ValueError, match="^eq24 precondition violated at n=1$"):
+        check("eq24", {"a": F(2), "b": F(2)}, depth=6)
 
 
 def test_eq23_printed_form_only_at_c0():
@@ -324,7 +362,8 @@ def test_eq23_terms_match_per_n_reference(a, b, c):
 
 @pytest.mark.parametrize("a, b", [(F(1, 2), F(-3, 4)), (F(2), F(3)), (F(-5, 7), F(2, 9))])
 def test_eq24_terms_match_per_n_reference(a, b):
-    terms = list(_eq24_terms(a, b, 10))
+    # eq24's terms are eq23's at c = 1, each times (-1)^n, since B_n(1) = (-1)^n B_n
+    terms = [(n, *((-1) ** n * v for v in sides)) for n, *sides in _eq23_terms(a, b, F(1), 10)]
     assert [t[0] for t in terms] == list(range(1, 11))
     for n, lhs, printed, corrected in terms:
         assert (printed, corrected) == _eq24_reference(a, b, n)

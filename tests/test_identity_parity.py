@@ -3,7 +3,9 @@
 Each reference below evaluates its identity the direct way: one shifted
 product psi_product, or one sum, per index. A reference reads the library
 functions through the family module, as the check does, so a corruption
-patched into the module reaches both.
+patched into the module reaches both. A reference hands every pair it
+compares to ``_verdict``, as ``check`` does, so the full-report ``==`` covers
+the number of pairs compared too.
 """
 from fractions import Fraction
 from math import factorial
@@ -14,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from binomring.identities import (_DEFAULT_SEED, _rng, _verdict, check, inverse_power, poly_symmetry,
                                   random_rational, random_unit, symmetric)
 from binomring.poly import RatPoly
-from binomring.seqcore import TruncSeq, binom, make_named, psi_product
+from binomring.seqcore import TruncSeq, _value, binom, make_named, psi_product
 
 
 def corrupt(seq: TruncSeq, k: int) -> TruncSeq:
@@ -42,7 +44,7 @@ def test_seidel_table_of_polynomials():
     T = symmetric._seidel(a)
     for m in range(7):
         for n in range(7 - m):
-            assert symmetric._value(T[n][m], den) == psi_product(make_named("I", 6), f, m)[n]
+            assert _value(T[n][m], den) == psi_product(make_named("I", 6), f, m)[n]
 
 
 # ---------------------------------------------------------------------------
@@ -58,66 +60,55 @@ def ref_eq13(params, depth):
     F = symmetric.bullet(make_named("I", depth), f)
     lhs = psi_product(make_named("I", depth), f, m)[n]
     rhs = Fraction(-1) ** n * psi_product(make_named("nu", depth), F, n)[m]
-    return _verdict("eq13", {"m": m, "n": n, **_used(params)}, depth, [((m, n), lhs, rhs)] if lhs != rhs else [])
+    return _verdict("eq13", {"m": m, "n": n, **_used(params)}, depth, [((m, n), lhs, rhs)])
 
 
 def ref_thm5_forward(params, depth):
     rng = _rng(params)
     f = symmetric.build_symmetric_function([Fraction(1)] + [random_rational(rng) for _ in range(depth // 2)], depth)
 
-    def mism():
+    def pairs():
         dev = symmetric.deviation(f)
         for k in range(depth + 1):
-            if dev[k] != 0:
-                yield ("deviation", k), dev[k], Fraction(0)
+            yield ("deviation", k), dev[k], Fraction(0)
         I = make_named("I", depth)
         for m in range(depth + 1):
             for n in range(depth + 1 - m):
-                lhs = Fraction(-1) ** n * psi_product(I, f, m)[n]
-                rhs = Fraction(-1) ** m * psi_product(I, f, n)[m]
-                if lhs != rhs:
-                    yield (m, n), lhs, rhs
+                yield (m, n), Fraction(-1) ** n * psi_product(I, f, m)[n], Fraction(-1) ** m * psi_product(I, f, n)[m]
 
-    return _verdict("thm5-forward", _used(params), depth, mism())
+    return _verdict("thm5-forward", _used(params), depth, pairs())
 
 
 def ref_thm5_converse(params, depth):
     f = random_unit(_rng(params), depth)
     I = make_named("I", depth)
     dev = symmetric.deviation(f)
-    mism = []
-    for n in range(depth + 1):
-        residual = Fraction(-1) ** n * psi_product(I, f, 0)[n] - psi_product(I, f, n)[0]
-        if residual != Fraction(-1) ** n * dev[n]:
-            mism.append((n, residual, Fraction(-1) ** n * dev[n]))
-    return _verdict("thm5-converse", _used(params), depth, mism)
+    pairs = [(n, Fraction(-1) ** n * psi_product(I, f, 0)[n] - psi_product(I, f, n)[0], Fraction(-1) ** n * dev[n])
+             for n in range(depth + 1)]
+    return _verdict("thm5-converse", _used(params), depth, pairs)
 
 
 def ref_eq19(params, depth):
     f = random_unit(_rng(params), depth)
     I, nu = make_named("I", depth), make_named("nu", depth)
     dev = symmetric.deviation(f)
-    mism = []
+    pairs = []
     for m in range(depth + 1):
         for n in range(depth + 1 - m):
             lhs = Fraction(-1) ** n * psi_product(I, f, m)[n] - Fraction(-1) ** m * psi_product(I, f, n)[m]
-            rhs = psi_product(nu, dev, n)[m]
-            if lhs != rhs:
-                mism.append(((m, n), lhs, rhs))
-    return _verdict("eq19", _used(params), depth, mism)
+            pairs.append(((m, n), lhs, psi_product(nu, dev, n)[m]))
+    return _verdict("eq19", _used(params), depth, pairs)
 
 
 def ref_eq20(params, depth):
     E1 = symmetric.euler1(depth)
     I = make_named("I", depth)
-    mism = []
+    pairs = []
     for m in range(depth + 1):
         for n in range(depth + 1 - m):
             lhs = (-1) ** n * psi_product(I, E1, m)[n] - (-1) ** m * psi_product(I, E1, n)[m]
-            rhs = 2 * ((-1) ** n * (m == 0) - (-1) ** m * (n == 0))
-            if lhs != rhs:
-                mism.append(((m, n), lhs, Fraction(rhs)))
-    return _verdict("eq20", {}, depth, mism)
+            pairs.append(((m, n), lhs, Fraction(2 * ((-1) ** n * (m == 0) - (-1) ** m * (n == 0)))))
+    return _verdict("eq20", {}, depth, pairs)
 
 
 def ref_eq23_terms(a, b, c, nmax):
@@ -153,11 +144,20 @@ def ref_eq24_terms(a, b, nmax):
         yield n, B[n], total / den, (total - (-1) ** n * R[n + 1] / ((n + 1) * a * b)) / den
 
 
+def ref_eq24(params, depth):
+    """eq24's report from the per-index terms, with a and b drawn as the check draws them."""
+    nmax = max(depth, 1)
+    a, b = poly_symmetry._sample_eq23_triple(_rng(params), nmax, force_c=Fraction(1))[:2]
+    terms = list(ref_eq24_terms(a, b, nmax))
+    used = {"a": a, "b": b, "n": nmax, "printed_form_holds": all(lhs == printed for _, lhs, printed, _ in terms)}
+    return _verdict("eq24", used, depth, [(n, lhs, rhs) for n, lhs, _, rhs in terms])
+
+
 def ref_eq9(params, depth):
     n = params.get("n", 2)
     Bxn = inverse_power.power_int(inverse_power.bernoulli_poly(depth), n)
 
-    def mism():
+    def pairs():
         for k in range(depth + 1):
             total = RatPoly()
             for m in range(k + 1):
@@ -166,12 +166,9 @@ def ref_eq9(params, depth):
                     coeff = Fraction((-1) ** (n - j),
                                      factorial(k - m) * factorial(n - j) * factorial(m + n) * factorial(j))
                     total = total + coeff * Bxn[k - m] * poly
-            total = factorial(n) * total
-            expect = Fraction(1 if k == 0 else 0)
-            if total != expect:
-                yield k, total, expect
+            yield k, factorial(n) * total, Fraction(1 if k == 0 else 0)
 
-    return _verdict("eq9", {"n": n, "mode": "polynomial"}, depth, mism())
+    return _verdict("eq9", {"n": n, "mode": "polynomial"}, depth, pairs())
 
 
 # name -> (reference, the symmetric-module names whose result a case may corrupt)
@@ -216,9 +213,12 @@ def test_poly_symmetry_checks_match_per_index_reference(name, seed, depth, k):
             original = poly_symmetry.sigma_eval
             mp.setattr(poly_symmetry, "sigma_eval", lambda y, K: corrupt(original(y, K), min(k, K)))
         report = check(name, {"seed": seed}, depth)
-        mp.setattr(poly_symmetry, "_eq23_terms", ref_eq23_terms)
-        mp.setattr(poly_symmetry, "_eq24_terms", ref_eq24_terms)
-        assert report == check(name, {"seed": seed}, depth)
+        if name == "eq24":
+            # eq24 derives its terms from eq23's at c = 1, so its reference is the eq24 sum written out
+            assert report == ref_eq24({"seed": seed}, depth)
+        else:
+            mp.setattr(poly_symmetry, "_eq23_terms", ref_eq23_terms)
+            assert report == check(name, {"seed": seed}, depth)
 
 
 @pytest.mark.parametrize("depth", [0, 1, 4, 7])

@@ -66,7 +66,7 @@ def test_verify_loads_one_identity_family(tmp_path, argv, wanted, unwanted):
 def test_verify_usage_error_loads_no_family(tmp_path, argv):
     loaded = loaded_by(tmp_path, *argv, code=2)
     assert "binomring.identities" in loaded
-    assert not loaded & (FAMILIES | {"binomring.special", "binomring.units"})
+    assert not loaded & (FAMILIES | {"binomring.special", "binomring.units", "binomring.jsonio"})
 
 
 @pytest.mark.parametrize("argv", [("gen", "fibonacci"), ("gen", "bernoulli", "--depth", "99999")],

@@ -112,3 +112,4 @@ def test_corrupted_input_fails_at_known_index(name, monkeypatch):
     assert report.passed is False
     assert report.first_failure.index == index
     assert report.first_failure.lhs != report.first_failure.rhs
+    assert 1 <= report.checked
